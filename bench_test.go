@@ -6,9 +6,9 @@ package eba_test
 //	go test -bench=. -benchmem
 //
 // The experiment benches measure the cost of regenerating each table; the
-// micro benches measure the engine, the concurrent runtime, the batch
-// Runner (sequential vs parallel, with and without buffer reuse), and the
-// communication-graph machinery behind the polynomial-time P_opt.
+// micro benches measure the engine, the batch Runner (sequential vs
+// parallel, with and without buffer reuse), and the communication-graph
+// machinery behind the polynomial-time P_opt.
 
 import (
 	"context"
@@ -248,19 +248,6 @@ func BenchmarkEngineRoundMin(b *testing.B) {
 	}
 }
 
-func BenchmarkRuntimeConcurrent(b *testing.B) {
-	n, tf := 8, 2
-	st := stack(b, "basic", n, tf)
-	pat := adversary.Silent(n, tf+2, 0)
-	inits := adversary.UniformInits(n, model.One)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := st.RunConcurrent(pat, inits); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // batchScenarios builds a deterministic scenario list for the Runner
 // benches.
 func batchScenarios(n, tf, count int) []eba.Scenario {
@@ -277,8 +264,8 @@ func batchScenarios(n, tf, count int) []eba.Scenario {
 	return scenarios
 }
 
-// BenchmarkRunnerBatch measures the batch hot path across executor,
-// parallelism, and buffer-reuse configurations on the same 64-scenario
+// BenchmarkRunnerBatch measures the batch hot path across parallelism
+// and buffer-reuse configurations on the same 64-scenario
 // workload.
 func BenchmarkRunnerBatch(b *testing.B) {
 	n, tf := 8, 2
@@ -292,7 +279,6 @@ func BenchmarkRunnerBatch(b *testing.B) {
 		{"sequential", nil},
 		{"sequential-reuse", []eba.RunnerOption{eba.WithBufferReuse()}},
 		{"parallel4-reuse", []eba.RunnerOption{eba.WithParallelism(4), eba.WithBufferReuse()}},
-		{"concurrent-parallel4", []eba.RunnerOption{eba.WithExecutor(eba.Concurrent), eba.WithParallelism(4)}},
 	}
 	for _, c := range cases {
 		runner := eba.NewRunner(st, c.opts...)

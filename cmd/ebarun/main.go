@@ -9,7 +9,6 @@
 //	ebarun -stack fip -n 6 -t 2 -adversary example71 -inits all1
 //	ebarun -stack fip+pmin -n 5 -t 2 -adversary silent:0 -inits all1
 //	ebarun -stack basic+pmin -n 5 -t 2 -inits 01101   # ad-hoc composition
-//	ebarun -stack basic -n 4 -t 1 -executor concurrent
 //
 // With -sweep N the command streams N seeded random scenarios (drop
 // probability from -drop, seed from -seed) through the Runner's
@@ -44,43 +43,31 @@ func run(args []string) error {
 	var (
 		stackName = fs.String("stack", "basic",
 			"protocol stack: "+strings.Join(eba.StackNames(), ", ")+", or an ad-hoc \"exchange+action\" pairing")
-		n          = fs.Int("n", 5, "number of agents")
-		t          = fs.Int("t", 2, "failure bound t")
-		advSpec    = fs.String("adversary", "none", "adversary: "+eba.AdversarySpecSyntax)
-		seed       = fs.Int64("seed", 1, "seed for -adversary random")
-		drop       = fs.Float64("drop", 0.5, "drop probability for -adversary random")
-		initsSpec  = fs.String("inits", "all1", "initial preferences: all0, all1, or a 0/1 string")
-		execName   = fs.String("executor", "sequential", "execution substrate: sequential or concurrent")
-		concurrent = fs.Bool("concurrent", false, "deprecated alias for -executor concurrent")
-		format     = fs.String("format", "summary", "output: summary, trace (message-level), or json")
-		sweepN     = fs.Int64("sweep", 0, "stream this many seeded random scenarios through the Runner instead of one configured run")
-		order      = fs.String("order", "ordered", "sweep emission order: ordered (scenario order) or completion (as workers finish)")
-		quotient   = fs.Bool("quotient", false, "run the canonical representative of the configured scenario's agent-permutation orbit instead of the scenario itself")
-		cacheDir   = fs.String("cache", "", "-sweep: result cache directory — answer already-executed scenarios from it instead of re-running")
-		cacheURL   = fs.String("cache-url", "", "-sweep: shared result cache server URL (see ebacoord -cache); combine with -cache for a local tier over it")
+		n         = fs.Int("n", 5, "number of agents")
+		t         = fs.Int("t", 2, "failure bound t")
+		advSpec   = fs.String("adversary", "none", "adversary: "+eba.AdversarySpecSyntax)
+		seed      = fs.Int64("seed", 1, "seed for -adversary random")
+		drop      = fs.Float64("drop", 0.5, "drop probability for -adversary random")
+		initsSpec = fs.String("inits", "all1", "initial preferences: all0, all1, or a 0/1 string")
+		format    = fs.String("format", "summary", "output: summary, trace (message-level), or json")
+		sweepN    = fs.Int64("sweep", 0, "stream this many seeded random scenarios through the Runner instead of one configured run")
+		order     = fs.String("order", "ordered", "sweep emission order: ordered (scenario order) or completion (as workers finish)")
+		quotient  = fs.Bool("quotient", false, "run the canonical representative of the configured scenario's agent-permutation orbit instead of the scenario itself")
+		cacheDir  = fs.String("cache", "", "-sweep: result cache directory — answer already-executed scenarios from it instead of re-running")
+		cacheURL  = fs.String("cache-url", "", "-sweep: shared result cache server URL (see ebacoord -cache); combine with -cache for a local tier over it")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	executorSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "executor" {
-			executorSet = true
-		}
-	})
 
 	stack, err := makeStack(*stackName, *n, *t)
-	if err != nil {
-		return err
-	}
-	executor, err := makeExecutor(*execName, *concurrent, executorSet)
 	if err != nil {
 		return err
 	}
 	if *sweepN > 0 {
 		// The sweep generates its own adversaries and inits and prints
 		// only the aggregate; reject flags it would otherwise silently
-		// drop (the executor is honored).
+		// drop.
 		var incompatible []string
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
@@ -97,7 +84,7 @@ func run(args []string) error {
 			return err
 		}
 		defer closeStore()
-		return runSweep(stack, executor, *sweepN, *seed, *drop, *order, store)
+		return runSweep(stack, *sweepN, *seed, *drop, *order, store)
 	}
 	if *cacheDir != "" || *cacheURL != "" {
 		return fmt.Errorf("-cache/-cache-url apply to -sweep only (single runs print full traces, which the cache does not store)")
@@ -119,7 +106,7 @@ func run(args []string) error {
 		pat, inits, orbit = eba.CanonicalizeScenario(pat, inits)
 	}
 
-	runner := eba.NewRunner(stack, eba.WithExecutor(executor))
+	runner := eba.NewRunner(stack)
 	res, err := runner.Run(context.Background(), eba.Scenario{Pattern: pat, Inits: inits})
 	if err != nil {
 		return err
@@ -142,8 +129,8 @@ func run(args []string) error {
 		return fmt.Errorf("unknown format %q", *format)
 	}
 
-	fmt.Printf("stack=%s n=%d t=%d horizon=%d executor=%s adversary=%s\n",
-		stack.Name, *n, *t, stack.Horizon(), executor.Name(), pat)
+	fmt.Printf("stack=%s n=%d t=%d horizon=%d adversary=%s\n",
+		stack.Name, *n, *t, stack.Horizon(), pat)
 	fmt.Printf("inits: %s\n", renderValues(inits))
 	if *quotient {
 		fmt.Printf("symmetry: canonical representative, orbit size %d\n", orbit)
@@ -200,7 +187,7 @@ func run(args []string) error {
 // violations. With -order completion the outcomes are consumed as workers
 // finish them (the aggregate is order-independent, so the summary is
 // identical either way).
-func runSweep(stack eba.Stack, executor eba.Executor, count, seed int64, drop float64, order string, store eba.ResultCache) error {
+func runSweep(stack eba.Stack, count, seed int64, drop float64, order string, store eba.ResultCache) error {
 	var streamOpts []eba.StreamOption
 	switch order {
 	case "ordered":
@@ -211,7 +198,6 @@ func runSweep(stack eba.Stack, executor eba.Executor, count, seed int64, drop fl
 	}
 	src := eba.SourceRandomSO(seed, stack.N, stack.T, stack.Horizon(), drop, count)
 	runnerOpts := []eba.RunnerOption{
-		eba.WithExecutor(executor),
 		eba.WithParallelism(0),
 		eba.WithBufferReuse(),
 		eba.WithSpecCheck(eba.SpecOptions{RoundBound: stack.Horizon()}),
@@ -221,8 +207,8 @@ func runSweep(stack eba.Stack, executor eba.Executor, count, seed int64, drop fl
 	}
 	runner := eba.NewRunner(stack, runnerOpts...)
 
-	fmt.Printf("sweep: stack=%s n=%d t=%d horizon=%d executor=%s scenarios=%d drop=%.2f seed=%d order=%s\n\n",
-		stack.Name, stack.N, stack.T, stack.Horizon(), executor.Name(), count, drop, seed, order)
+	fmt.Printf("sweep: stack=%s n=%d t=%d horizon=%d scenarios=%d drop=%.2f seed=%d order=%s\n\n",
+		stack.Name, stack.N, stack.T, stack.Horizon(), count, drop, seed, order)
 	hist := make([]int64, stack.Horizon()+1)
 	var runs, violations int64
 	var firstViolation error
@@ -295,28 +281,6 @@ func makeStack(name string, n, t int) (eba.Stack, error) {
 		return eba.Stack{}, composeErr
 	}
 	return eba.Stack{}, err
-}
-
-// makeExecutor resolves the executor name; the deprecated -concurrent
-// alias applies only after the name validates, and conflicts with an
-// explicit -executor sequential rather than silently overriding it.
-func makeExecutor(name string, concurrentFlag, executorSet bool) (eba.Executor, error) {
-	var executor eba.Executor
-	switch name {
-	case "sequential":
-		executor = eba.Sequential
-	case "concurrent":
-		executor = eba.Concurrent
-	default:
-		return nil, fmt.Errorf("unknown executor %q (have sequential, concurrent)", name)
-	}
-	if concurrentFlag {
-		if executorSet && name == "sequential" {
-			return nil, fmt.Errorf("-concurrent conflicts with -executor sequential")
-		}
-		executor = eba.Concurrent
-	}
-	return executor, nil
 }
 
 // makeAdversary delegates to the library's spec parser, the single place

@@ -12,8 +12,6 @@ func TestRunEndToEnd(t *testing.T) {
 		{"-stack", "basic", "-n", "4", "-t", "1", "-adversary", "silent:0", "-inits", "0111"},
 		{"-stack", "fip", "-n", "4", "-t", "2", "-adversary", "example71", "-inits", "all1"},
 		{"-stack", "min", "-n", "4", "-t", "1", "-adversary", "random", "-seed", "3", "-inits", "all0"},
-		{"-stack", "basic", "-n", "3", "-t", "1", "-concurrent"},
-		{"-stack", "basic", "-n", "3", "-t", "1", "-executor", "concurrent"},
 		{"-stack", "min", "-n", "3", "-t", "1", "-format", "trace"},
 		{"-stack", "min", "-n", "3", "-t", "1", "-format", "json"},
 		// The previously unreachable pairings, by registry name.
@@ -36,8 +34,6 @@ func TestSweepEndToEnd(t *testing.T) {
 		{"-stack", "min", "-n", "4", "-t", "1", "-sweep", "200"},
 		{"-stack", "fip", "-n", "4", "-t", "1", "-sweep", "200", "-order", "completion"},
 		{"-stack", "naive", "-n", "3", "-t", "1", "-sweep", "200", "-drop", "0.6"},
-		// The executor flag applies to sweeps.
-		{"-stack", "basic", "-n", "3", "-t", "1", "-sweep", "50", "-executor", "concurrent"},
 	}
 	for _, args := range cases {
 		if err := run(args); err != nil {
@@ -74,9 +70,8 @@ func TestEveryRegisteredStackIsSelectable(t *testing.T) {
 func TestRunErrors(t *testing.T) {
 	cases := [][]string{
 		{"-stack", "bogus"},
-		{"-stack", "fip+pnaive"},                     // incompatible composition
-		{"-stack", "bogus+pmin"},                     // unknown exchange in composition
-		{"-executor", "bogus", "-n", "3", "-t", "1"}, // unknown executor
+		{"-stack", "fip+pnaive"}, // incompatible composition
+		{"-stack", "bogus+pmin"}, // unknown exchange in composition
 		{"-adversary", "bogus"},
 		{"-adversary", "silent:9"},                      // agent out of range
 		{"-adversary", "silent:0,1,2,3"},                // exceeds t

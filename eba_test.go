@@ -234,7 +234,6 @@ func TestPublicRunnerBatchAndStream(t *testing.T) {
 	}
 	ctx := context.Background()
 	runner := eba.NewRunner(stack,
-		eba.WithExecutor(eba.Sequential),
 		eba.WithParallelism(4),
 		eba.WithSpecCheck(eba.SpecOptions{RoundBound: stack.Horizon()}),
 		eba.WithBufferReuse())

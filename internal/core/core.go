@@ -17,8 +17,8 @@
 // NewStack resolves a named pairing; Compose builds any registry-valid
 // ⟨exchange, action⟩ pair, named after the registered stack it matches or
 // "exchange+action" otherwise. Execution happens through a Runner (see
-// runner.go), which batches scenarios over a sequential or concurrent
-// executor.
+// runner.go), which batches scenarios over a worker pool of sequential
+// engine runs.
 package core
 
 import (
@@ -27,7 +27,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/model"
 	"repro/internal/registry"
-	"repro/internal/runtime"
 )
 
 // Stack is a complete protocol: an information-exchange protocol together
@@ -150,12 +149,6 @@ func (s Stack) Config(pat *model.Pattern, inits []model.Value) engine.Config {
 // given initial preferences.
 func (s Stack) Run(pat *model.Pattern, inits []model.Value) (*engine.Result, error) {
 	return engine.Run(s.Config(pat, inits))
-}
-
-// RunConcurrent executes the stack with one goroutine per agent; the
-// result is identical to Run's.
-func (s Stack) RunConcurrent(pat *model.Pattern, inits []model.Value) (*engine.Result, error) {
-	return runtime.Run(s.Config(pat, inits))
 }
 
 // AtHorizon returns a copy of the stack whose execution horizon is h

@@ -1,12 +1,6 @@
 package core
 
-import (
-	"testing"
-
-	"repro/internal/adversary"
-	"repro/internal/model"
-	"repro/internal/spec"
-)
+import "testing"
 
 func TestStackConstructors(t *testing.T) {
 	cases := []struct {
@@ -25,31 +19,6 @@ func TestStackConstructors(t *testing.T) {
 		}
 		if c.stack.N != 4 || c.stack.T != 1 || c.stack.Horizon() != 3 {
 			t.Errorf("%s: unexpected dims n=%d t=%d h=%d", c.name, c.stack.N, c.stack.T, c.stack.Horizon())
-		}
-	}
-}
-
-func TestStackRunAndConcurrentAgree(t *testing.T) {
-	for _, name := range []string{"min", "basic", "fip"} {
-		st := MustStack(name, WithN(4), WithT(1))
-		pat := adversary.Silent(4, st.Horizon(), 2)
-		inits := []model.Value{model.One, model.Zero, model.One, model.One}
-		seq, err := st.Run(pat, inits)
-		if err != nil {
-			t.Fatal(err)
-		}
-		conc, err := st.RunConcurrent(pat, inits)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 4; i++ {
-			id := model.AgentID(i)
-			if seq.Decided(id) != conc.Decided(id) || seq.Round(id) != conc.Round(id) {
-				t.Errorf("%s: sequential and concurrent runs disagree for agent %d", st.Name, i)
-			}
-		}
-		if vs := spec.CheckRun(seq, spec.Options{RoundBound: st.Horizon()}); len(vs) != 0 {
-			t.Errorf("%s: EBA violations: %v", st.Name, vs)
 		}
 	}
 }

@@ -1,6 +1,6 @@
-// The Runner: one execution front-end for every substrate. A Runner binds
-// a Stack to an engine.Executor (sequential engine or goroutine-per-agent
-// runtime) and executes scenarios one at a time (Run), as an
+// The Runner: the one execution front-end. A Runner binds a Stack to an
+// engine.Executor (the sequential engine, or a wrapper standing in for
+// it) and executes scenarios one at a time (Run), as an
 // order-preserving parallel batch (RunBatch), or as a stream of outcomes
 // (Stream over slices, StreamFrom/RunSource over lazy Sources — see
 // stream.go). Batches fan out over a worker pool of WithParallelism(k)
@@ -35,9 +35,10 @@ type Runner struct {
 // RunnerOption configures NewRunner.
 type RunnerOption func(*Runner)
 
-// WithExecutor selects the execution substrate (default
-// engine.Sequential{}; runtime.Concurrent{} runs one goroutine per
-// agent). Both substrates produce identical results.
+// WithExecutor substitutes the execution substrate (default
+// engine.Sequential{}). It is internal plumbing for executors that stand
+// in for the engine — the result cache, the episteme checker's
+// memoizing executor, test gates — and must return identical results.
 func WithExecutor(x engine.Executor) RunnerOption {
 	return func(r *Runner) { r.exec = x }
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/model"
 	"repro/internal/registry"
-	"repro/internal/runtime"
 	"repro/internal/spec"
 )
 
@@ -163,30 +162,6 @@ func TestRunBatchCancellation(t *testing.T) {
 	}
 	if seen >= len(scenarios) {
 		t.Fatalf("stream ran to completion (%d outcomes) despite cancellation", seen)
-	}
-}
-
-// TestExecutorTraceEquivalence runs every registered stack through the
-// Runner on both executors and requires byte-identical traces — the
-// executor-level extension of internal/runtime's determinism test.
-func TestExecutorTraceEquivalence(t *testing.T) {
-	n, tf := 5, 2
-	scenarios := randomScenarios(23, n, tf, 10)
-	for _, name := range registry.StackNames() {
-		st := MustStack(name, WithN(n), WithT(tf))
-		seq, err := NewRunner(st, WithExecutor(engine.Sequential{}), WithParallelism(2), WithBufferReuse()).
-			RunBatch(context.Background(), scenarios)
-		if err != nil {
-			t.Fatalf("%s sequential: %v", name, err)
-		}
-		conc, err := NewRunner(st, WithExecutor(runtime.Concurrent{}), WithParallelism(2)).
-			RunBatch(context.Background(), scenarios)
-		if err != nil {
-			t.Fatalf("%s concurrent: %v", name, err)
-		}
-		for k := range scenarios {
-			assertSameRun(t, name, seq[k], conc[k])
-		}
 	}
 }
 

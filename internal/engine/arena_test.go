@@ -264,3 +264,39 @@ func TestArenaClonesAreIndependent(t *testing.T) {
 		}
 	}
 }
+
+// TestSequentialExecutorMatchesRun drives the engine through the
+// Executor interface — the path the core Runner and its wrapping
+// executors use — unbuffered, plain-buffered, and arena-backed, and
+// requires the trace Run produces for every registered stack.
+func TestSequentialExecutorMatchesRun(t *testing.T) {
+	var x Executor = Sequential{}
+	if x.Name() != "sequential" {
+		t.Fatalf("executor name %q, want sequential", x.Name())
+	}
+	n, tf := 5, 2
+	for _, name := range registry.StackNames() {
+		info, err := registry.Stack(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex, act, err := registry.Compose(info.Exchange, info.Action, n, tf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buffers := []*Buffers{nil, NewBuffers(), NewArenaBuffers()}
+		for k, cfg := range arenaScenarios(n, tf, 10, 17) {
+			cfg.Exchange, cfg.Action = ex, act
+			want := runSignature(MustRun(cfg))
+			for b, buf := range buffers {
+				got, err := x.Execute(cfg, buf)
+				if err != nil {
+					t.Fatalf("%s scenario %d buffers %d: %v", name, k, b, err)
+				}
+				if runSignature(got) != want {
+					t.Fatalf("%s scenario %d buffers %d: executor trace diverged from Run", name, k, b)
+				}
+			}
+		}
+	}
+}

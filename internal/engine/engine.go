@@ -6,9 +6,9 @@
 // pattern filters deliveries (F), and every agent updates its local state
 // (δ).
 //
-// The engine is deterministic and sequential; internal/runtime provides an
-// equivalent concurrent execution with one goroutine per agent and is
-// tested to produce byte-identical traces.
+// The engine is deterministic and sequential: a run is a pure function
+// of the configuration, so parallelism lives one level up, across runs
+// (the core Runner's worker pool), never inside one.
 package engine
 
 import (
@@ -120,12 +120,6 @@ func NewBuffers() *Buffers { return &Buffers{} }
 // recycled on the next RunBuffered. Traces are bit-identical to every
 // other execution path; only the allocation behavior differs.
 func NewArenaBuffers() *Buffers { return &Buffers{pooled: true} }
-
-// ArenaBacked reports whether the buffers own exchange scratch
-// (NewArenaBuffers): executors that cannot share the Buffers value
-// itself (the goroutine-per-agent runtime) use it to decide whether
-// their per-agent scratch should include the exchanges' arenas.
-func (b *Buffers) ArenaBacked() bool { return b.pooled }
 
 // ensure sizes the buffers for n agents.
 func (b *Buffers) ensure(n int) {
@@ -380,14 +374,13 @@ func stepInto(ex model.Exchange, pat *model.Pattern, m int, states []model.State
 	return stats, nil
 }
 
-// Executor abstracts how a configured execution is driven to completion:
-// Sequential runs the deterministic single-threaded engine, and
-// internal/runtime's Concurrent runs one goroutine per agent. Both
-// produce byte-identical Results for the same configuration, so callers
-// (the core Runner, the CLIs) choose an executor for its operational
-// profile, never for its semantics.
+// Executor abstracts how a configured execution is driven to completion.
+// Sequential is the engine itself. The other implementations — core's
+// CachingExecutor (answers from a result cache) and the episteme
+// checker's memoizing executor — stand in for it and must return Results
+// byte-identical to Sequential's.
 type Executor interface {
-	// Name identifies the executor ("sequential", "concurrent").
+	// Name identifies the executor ("sequential", "cached(sequential)").
 	Name() string
 	// Execute runs one configuration to completion. Executors that do not
 	// support scratch reuse ignore buf.

@@ -2,8 +2,6 @@ package eba
 
 import (
 	"repro/internal/core"
-	"repro/internal/engine"
-	"repro/internal/runtime"
 )
 
 // Runner executes scenarios against one stack: one at a time (Run), as an
@@ -13,8 +11,8 @@ import (
 // the Source constructors (SourceSO, SourceCrash, SourceRandomSO).
 type Runner = core.Runner
 
-// RunnerOption configures NewRunner: WithExecutor, WithParallelism,
-// WithSpecCheck, WithBufferReuse.
+// RunnerOption configures NewRunner: WithParallelism, WithSpecCheck,
+// WithResultCache, WithBufferReuse.
 type RunnerOption = core.RunnerOption
 
 // RunOutcome is one completed (or failed) scenario of a Runner.Stream.
@@ -23,20 +21,6 @@ type RunOutcome = core.RunOutcome
 // SpecError is the error Runner.Run and Runner.RunBatch return when
 // WithSpecCheck finds violations in an otherwise successful run.
 type SpecError = core.SpecError
-
-// Executor abstracts the execution substrate a Runner drives runs on.
-// Both built-in executors produce byte-identical results for the same
-// configuration.
-type Executor = engine.Executor
-
-// The built-in executors.
-var (
-	// Sequential is the deterministic single-threaded round engine.
-	Sequential Executor = engine.Sequential{}
-	// Concurrent runs one goroutine per agent with a router enforcing the
-	// synchronized-round semantics.
-	Concurrent Executor = runtime.Concurrent{}
-)
 
 // NewRunner returns a Runner for the stack. With no options it runs
 // scenarios one at a time on the sequential engine:
@@ -48,9 +32,6 @@ var (
 //		eba.WithBufferReuse())
 //	results, err := runner.RunBatch(ctx, scenarios)
 func NewRunner(stack Stack, opts ...RunnerOption) *Runner { return core.NewRunner(stack, opts...) }
-
-// WithExecutor selects the execution substrate (default Sequential).
-func WithExecutor(x Executor) RunnerOption { return core.WithExecutor(x) }
 
 // WithParallelism sets the batch worker count (default 1; k <= 0 means
 // one worker per available CPU). Results are independent of k: batches
