@@ -98,20 +98,15 @@ func CacheKey(versionDigest, kind, scenarioDigest string) string {
 	return versionDigest + "/" + kind + "/" + scenarioDigest
 }
 
-// CachedRun is the cache payload of one completed run: the scenario
-// restated (so a misfiled entry is detected on read), the observable
-// outcome, and the per-round actions spec checking needs. For episteme
-// entries StateKeys[m*n+i] additionally carries agent i's canonical
-// state key at time m — the interning input — while sweep entries omit
-// it. Full traces are never cached.
+// CachedRun is the cache payload of one completed run: its RunLedger —
+// the scenario restated (so a misfiled entry is detected on read), the
+// observable outcome, and the per-round actions spec checking needs. For
+// episteme entries StateKeys[m*n+i] additionally carries agent i's
+// canonical state key at time m — the interning input — while sweep
+// entries omit it. Full traces are never cached.
 type CachedRun struct {
-	Pattern   string       `json:"pattern"`
-	Inits     []int        `json:"inits"`
-	Decisions []int        `json:"decisions"`
-	Rounds    []int        `json:"rounds"`
-	Actions   [][]int      `json:"actions"`
-	Stats     OutcomeStats `json:"stats"`
-	StateKeys []string     `json:"stateKeys,omitempty"`
+	RunLedger
+	StateKeys []string `json:"stateKeys,omitempty"`
 }
 
 // NewCachedRun encodes a completed run. withStates selects the episteme
@@ -119,40 +114,16 @@ type CachedRun struct {
 // (slot = m*n + i). State keys are fresh strings (model.State.Key
 // allocates), so the payload never aliases arena memory.
 func NewCachedRun(res *engine.Result, withStates bool) (*CachedRun, error) {
-	text, err := res.Pattern.MarshalText()
+	led, err := NewRunLedger(res)
 	if err != nil {
-		return nil, fmt.Errorf("core: encoding pattern for cache payload: %w", err)
+		return nil, fmt.Errorf("core: encoding cache payload: %w", err)
 	}
-	cr := &CachedRun{
-		Pattern:   string(text),
-		Inits:     make([]int, res.N),
-		Decisions: make([]int, res.N),
-		Rounds:    make([]int, res.N),
-		Actions:   make([][]int, len(res.Actions)),
-		Stats: OutcomeStats{
-			MessagesSent:      res.Stats.MessagesSent,
-			MessagesDelivered: res.Stats.MessagesDelivered,
-			BitsSent:          res.Stats.BitsSent,
-			BitsDelivered:     res.Stats.BitsDelivered,
-		},
-	}
-	for i := 0; i < res.N; i++ {
-		cr.Inits[i] = int(res.Inits[i])
-		cr.Decisions[i] = int(res.Decision[i])
-		cr.Rounds[i] = res.DecisionRound[i]
-	}
-	for m, acts := range res.Actions {
-		row := make([]int, len(acts))
-		for i, a := range acts {
-			row[i] = int(a)
-		}
-		cr.Actions[m] = row
-	}
+	cr := &CachedRun{RunLedger: led}
 	if withStates {
-		cr.StateKeys = make([]string, (res.Horizon+1)*res.N)
 		if len(res.States) != res.Horizon+1 {
 			return nil, fmt.Errorf("core: caching a trace-free result as an episteme entry")
 		}
+		cr.StateKeys = make([]string, (res.Horizon+1)*res.N)
 		for m := 0; m <= res.Horizon; m++ {
 			for i := 0; i < res.N; i++ {
 				cr.StateKeys[m*res.N+i] = res.States[m][i].Key()
@@ -164,11 +135,10 @@ func NewCachedRun(res *engine.Result, withStates bool) (*CachedRun, error) {
 
 // Matches reports whether the payload answers the given scenario with a
 // well-formed outcome: the restated scenario must equal the asked one
-// and every ledger must have the scenario's shape with in-range values
-// (withStates additionally demands a full slot-major state-key table).
-// Anything else is treated as a miss.
+// and the ledger must pass Check (withStates additionally demands a full
+// slot-major state-key table). Anything else is treated as a miss.
 func (cr *CachedRun) Matches(patternText string, inits []model.Value, n, horizon int, withStates bool) bool {
-	if cr.Pattern != patternText || len(cr.Inits) != n {
+	if cr.Pattern != patternText || len(cr.Inits) != len(inits) {
 		return false
 	}
 	for i, v := range inits {
@@ -176,65 +146,16 @@ func (cr *CachedRun) Matches(patternText string, inits []model.Value, n, horizon
 			return false
 		}
 	}
-	if len(cr.Decisions) != n || len(cr.Rounds) != n || len(cr.Actions) != horizon {
+	if cr.Check(n, horizon) != nil {
 		return false
 	}
-	for i := 0; i < n; i++ {
-		if d := cr.Decisions[i]; d < int(model.None) || d > int(model.One) {
-			return false
-		}
-		if r := cr.Rounds[i]; r < 0 || r > horizon {
-			return false
-		}
-	}
-	for _, row := range cr.Actions {
-		if len(row) != n {
-			return false
-		}
-		for _, a := range row {
-			if a < int(model.Noop) || a > int(model.Decide1) {
-				return false
-			}
-		}
-	}
-	if withStates && len(cr.StateKeys) != (horizon+1)*n {
-		return false
-	}
-	return true
+	return !withStates || len(cr.StateKeys) == (horizon+1)*n
 }
 
 // Restore synthesizes the engine.Result a fresh execution of cfg would
-// have produced, minus the state trace (States is nil — sweeps, spec
-// checks, and the episteme index never read it on this path).
+// have produced, minus the state trace (see RunLedger.Restore).
 func (cr *CachedRun) Restore(cfg engine.Config) *engine.Result {
-	n := cfg.Pattern.N()
-	res := &engine.Result{
-		N:             n,
-		Horizon:       cfg.Horizon,
-		Pattern:       cfg.Pattern,
-		Inits:         append([]model.Value(nil), cfg.Inits...),
-		Actions:       make([][]model.Action, len(cr.Actions)),
-		Decision:      make([]model.Value, n),
-		DecisionRound: make([]int, n),
-		Stats: engine.Stats{
-			MessagesSent:      cr.Stats.MessagesSent,
-			MessagesDelivered: cr.Stats.MessagesDelivered,
-			BitsSent:          cr.Stats.BitsSent,
-			BitsDelivered:     cr.Stats.BitsDelivered,
-		},
-	}
-	for i := 0; i < n; i++ {
-		res.Decision[i] = model.Value(cr.Decisions[i])
-		res.DecisionRound[i] = cr.Rounds[i]
-	}
-	for m, row := range cr.Actions {
-		acts := make([]model.Action, n)
-		for i, a := range row {
-			acts[i] = model.Action(a)
-		}
-		res.Actions[m] = acts
-	}
-	return res
+	return cr.RunLedger.Restore(cfg.Pattern, cfg.Horizon)
 }
 
 // CacheCounters snapshots a CachingExecutor's traffic.

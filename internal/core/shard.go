@@ -134,14 +134,6 @@ type ShardHeader struct {
 	Count int64 `json:"count"`
 }
 
-// OutcomeStats mirrors engine.Stats with stable JSON keys.
-type OutcomeStats struct {
-	MessagesSent      int   `json:"sent"`
-	MessagesDelivered int   `json:"delivered"`
-	BitsSent          int64 `json:"bitsSent"`
-	BitsDelivered     int64 `json:"bitsDelivered"`
-}
-
 // OutcomeRecord is one completed scenario of a sharded sweep: the global
 // ordinal locating it in the canonical enumeration, the scenario itself
 // (pattern text + inits), the run's observable outcome, and a digest over
@@ -150,14 +142,9 @@ type OutcomeStats struct {
 type OutcomeRecord struct {
 	// Ordinal is the scenario's position in the unsharded enumeration.
 	Ordinal int64 `json:"ord"`
-	// Pattern is the failure pattern in model.Pattern's text form.
-	Pattern string `json:"pattern"`
-	// Inits holds the initial preferences as 0/1.
-	Inits []int `json:"inits"`
-	// Decisions[i] is the value agent i decided (-1 for none);
-	// Rounds[i] the round it first decided in (0 for never).
-	Decisions []int `json:"decisions"`
-	Rounds    []int `json:"rounds"`
+	// RunDecisions restates the scenario and carries the decision ledger
+	// (a RunLedger without its action table).
+	RunDecisions
 	// Stats aggregates the run's message traffic.
 	Stats OutcomeStats `json:"stats"`
 	// Mult is the number of sweep scenarios this record stands for: the
@@ -189,28 +176,11 @@ type ShardFooter struct {
 // newOutcomeRecord builds the record of one completed run standing for
 // weight sweep scenarios (weight ≤ 1 records an ordinary run).
 func newOutcomeRecord(ordinal int64, res *engine.Result, weight int64) (OutcomeRecord, error) {
-	pat, err := res.Pattern.MarshalText()
+	d, stats, err := encodeDecisions(res)
 	if err != nil {
-		return OutcomeRecord{}, fmt.Errorf("core: encoding pattern of ordinal %d: %w", ordinal, err)
+		return OutcomeRecord{}, fmt.Errorf("%w (ordinal %d)", err, ordinal)
 	}
-	rec := OutcomeRecord{
-		Ordinal:   ordinal,
-		Pattern:   string(pat),
-		Inits:     make([]int, res.N),
-		Decisions: make([]int, res.N),
-		Rounds:    make([]int, res.N),
-		Stats: OutcomeStats{
-			MessagesSent:      res.Stats.MessagesSent,
-			MessagesDelivered: res.Stats.MessagesDelivered,
-			BitsSent:          res.Stats.BitsSent,
-			BitsDelivered:     res.Stats.BitsDelivered,
-		},
-	}
-	for i := 0; i < res.N; i++ {
-		rec.Inits[i] = int(res.Inits[i])
-		rec.Decisions[i] = int(res.Decision[i])
-		rec.Rounds[i] = res.DecisionRound[i]
-	}
+	rec := OutcomeRecord{Ordinal: ordinal, RunDecisions: d, Stats: stats}
 	if weight > 1 {
 		rec.Mult = weight
 	}

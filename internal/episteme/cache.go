@@ -124,13 +124,7 @@ func buildSystemCached(ctx context.Context, c Context, act model.ActionProtocol,
 	}
 
 	sys := &System{N: n, T: c.T, Horizon: horizon, Runs: runs, weights: weights, par: o.par}
-	nSlots := (horizon + 1) * n
-	sys.classOf = make([][]int32, nSlots)
-	sys.classRuns = make([][][]int, nSlots)
-	sys.classKey = make([][]string, nSlots)
-	sys.classGlobal = make([][]int32, nSlots)
-	sys.byKey = make([]map[string]int32, nSlots)
-	sys.globalByKey = make(map[string]int32)
+	sys.allocIndex()
 
 	// Re-intern each time slice's slots in parallel from the payloads'
 	// slot keys, assigning class ids by first appearance in global run
@@ -151,29 +145,12 @@ func buildSystemCached(ctx context.Context, c Context, act model.ActionProtocol,
 				}
 				classOf[g] = cl
 			}
-			sys.classOf[slot] = classOf
-			sys.classRuns[slot] = packClassRuns(classOf, len(classKey))
-			sys.classKey[slot] = classKey
-			sys.byKey[slot] = byKey
+			sys.setSlot(slot, classOf, classKey, byKey)
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	// Fold the system-wide key interning sequentially in slot order,
-	// exactly as buildIndex does.
-	for slot := 0; slot < nSlots; slot++ {
-		keys := sys.classKey[slot]
-		global := make([]int32, len(keys))
-		for cl, key := range keys {
-			id, ok := sys.globalByKey[key]
-			if !ok {
-				id = int32(len(sys.globalByKey))
-				sys.globalByKey[key] = id
-			}
-			global[cl] = id
-		}
-		sys.classGlobal[slot] = global
-	}
+	sys.foldGlobal(0, len(sys.classKey))
 	return sys, nil
 }

@@ -130,13 +130,7 @@ func ExpandQuotient(ctx context.Context, rep *System, c Context) (*System, error
 	// for the string rewrite once and every other run is integer lookups.
 	total := len(runs)
 	sys := &System{N: n, T: rep.T, Horizon: horizon, Runs: runs, par: rep.parallelism()}
-	nSlots := (horizon + 1) * n
-	sys.classOf = make([][]int32, nSlots)
-	sys.classRuns = make([][][]int, nSlots)
-	sys.classKey = make([][]string, nSlots)
-	sys.classGlobal = make([][]int32, nSlots)
-	sys.byKey = make([]map[string]int32, nSlots)
-	sys.globalByKey = make(map[string]int32)
+	sys.allocIndex()
 
 	type triple struct {
 		src model.AgentID
@@ -175,10 +169,7 @@ func ExpandQuotient(ctx context.Context, rep *System, c Context) (*System, error
 				}
 				classOf[g] = cls
 			}
-			sys.classOf[slot] = classOf
-			sys.classRuns[slot] = packClassRuns(classOf, len(classKey))
-			sys.classKey[slot] = classKey
-			sys.byKey[slot] = byKey
+			sys.setSlot(slot, classOf, classKey, byKey)
 		}
 	})
 	if err != nil {
@@ -189,21 +180,7 @@ func ExpandQuotient(ctx context.Context, rep *System, c Context) (*System, error
 			return nil, fmt.Errorf("episteme: expanding quotiented keys: %w", e)
 		}
 	}
-	// Fold the system-wide key interning sequentially in slot order,
-	// exactly as buildIndex and MergeSystems do.
-	for slot := 0; slot < nSlots; slot++ {
-		keys := sys.classKey[slot]
-		global := make([]int32, len(keys))
-		for c, key := range keys {
-			id, known := sys.globalByKey[key]
-			if !known {
-				id = int32(len(sys.globalByKey))
-				sys.globalByKey[key] = id
-			}
-			global[c] = id
-		}
-		sys.classGlobal[slot] = global
-	}
+	sys.foldGlobal(0, len(sys.classKey))
 	return sys, nil
 }
 

@@ -29,6 +29,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -39,27 +40,12 @@ import (
 const (
 	shardIndexKind    = "eba-episteme-shard"
 	shardIndexVersion = 1
+	// maxIndexDim bounds the agent count and horizon an index may
+	// declare — far beyond any exhaustively enumerable system — so a
+	// hostile index cannot make Validate's or MergeSystems' shape
+	// arithmetic overflow or size its allocations.
+	maxIndexDim = 64
 )
-
-// ShardRun is one enumerated run reduced to what the knowledge checkers
-// consult: the scenario (pattern text + inits), the decision ledger, the
-// recorded actions, and the traffic stats. State traces stay in the
-// process that ran them — the class rows below carry their canonical
-// keys, which is all the knowledge relations need.
-type ShardRun struct {
-	// Pattern is the failure pattern in model.Pattern's text form.
-	Pattern string `json:"pattern"`
-	// Inits holds the initial preferences as 0/1.
-	Inits []int `json:"inits"`
-	// Decisions[i] is the value agent i decided (-1 for none); Rounds[i]
-	// the round it first decided in (0 for never).
-	Decisions []int `json:"decisions"`
-	Rounds    []int `json:"rounds"`
-	// Actions[m][i] is agent i's recorded action at time m.
-	Actions [][]int `json:"actions"`
-	// Stats aggregates the run's message traffic.
-	Stats core.OutcomeStats `json:"stats"`
-}
 
 // ShardIndex is one shard's serializable contribution to a sharded
 // System: its stripe's runs plus the per-(time, agent) interned class
@@ -79,8 +65,11 @@ type ShardIndex struct {
 	N       int `json:"n"`
 	T       int `json:"t"`
 	Horizon int `json:"horizon"`
-	// Runs holds the stripe's runs in stripe order.
-	Runs []ShardRun `json:"runs"`
+	// Runs holds the stripe's runs in stripe order, each reduced to its
+	// ledger: state traces stay in the process that ran them — the class
+	// rows below carry their canonical keys, which is all the knowledge
+	// relations need.
+	Runs []core.RunLedger `json:"runs"`
 	// Quotient marks a symmetry-quotiented stripe (built with
 	// WithQuotient): Runs are canonical orbit representatives and Mults[k]
 	// is run k's orbit size. MergeSystems requires the flag to agree
@@ -148,7 +137,10 @@ func BuildShardIndex(ctx context.Context, c Context, act model.ActionProtocol, s
 	if err != nil {
 		return nil, err
 	}
-	idx := exportShardIndex(sys, shardIndex, shardCount)
+	idx, err := exportShardIndex(sys, shardIndex, shardCount)
+	if err != nil {
+		return nil, err
+	}
 	if o.cache != nil {
 		// Best-effort, like every cache store: a full disk or unreachable
 		// server never fails the build.
@@ -195,12 +187,9 @@ func decodeCachedIndex(payload []byte, shardIndex, shardCount, n, t, horizon int
 }
 
 // exportShardIndex reduces a stripe's System to its serializable partial
-// index. The ledger flattening (inits/decisions/rounds as ints, stats as
-// core.OutcomeStats) deliberately mirrors core's newOutcomeRecord — the
-// outcome-stream and shard-index formats must agree on what a run's
-// observable outcome is; extend both (and restoreRun, the inverse here)
-// together.
-func exportShardIndex(sys *System, shardIndex, shardCount int) *ShardIndex {
+// index: each run to its core.RunLedger, the interned class tables
+// copied slot by slot.
+func exportShardIndex(sys *System, shardIndex, shardCount int) (*ShardIndex, error) {
 	idx := &ShardIndex{
 		Kind:    shardIndexKind,
 		Version: shardIndexVersion,
@@ -209,40 +198,18 @@ func exportShardIndex(sys *System, shardIndex, shardCount int) *ShardIndex {
 		N:       sys.N,
 		T:       sys.T,
 		Horizon: sys.Horizon,
-		Runs:    make([]ShardRun, len(sys.Runs)),
+		Runs:    make([]core.RunLedger, len(sys.Runs)),
 	}
 	if sys.Quotiented() {
 		idx.Quotient = true
 		idx.Mults = append([]int64{}, sys.weights...)
 	}
 	for k, res := range sys.Runs {
-		pat, _ := res.Pattern.MarshalText()
-		sr := ShardRun{
-			Pattern:   string(pat),
-			Inits:     make([]int, res.N),
-			Decisions: make([]int, res.N),
-			Rounds:    make([]int, res.N),
-			Actions:   make([][]int, len(res.Actions)),
-			Stats: core.OutcomeStats{
-				MessagesSent:      res.Stats.MessagesSent,
-				MessagesDelivered: res.Stats.MessagesDelivered,
-				BitsSent:          res.Stats.BitsSent,
-				BitsDelivered:     res.Stats.BitsDelivered,
-			},
+		led, err := core.NewRunLedger(res)
+		if err != nil {
+			return nil, fmt.Errorf("episteme: shard %d/%d run %d: %w", shardIndex, shardCount, k, err)
 		}
-		for i := 0; i < res.N; i++ {
-			sr.Inits[i] = int(res.Inits[i])
-			sr.Decisions[i] = int(res.Decision[i])
-			sr.Rounds[i] = res.DecisionRound[i]
-		}
-		for m, row := range res.Actions {
-			acts := make([]int, len(row))
-			for i, a := range row {
-				acts[i] = int(a)
-			}
-			sr.Actions[m] = acts
-		}
-		idx.Runs[k] = sr
+		idx.Runs[k] = led
 	}
 	nSlots := (sys.Horizon + 1) * sys.N
 	idx.ClassKeys = make([][]string, nSlots)
@@ -251,7 +218,7 @@ func exportShardIndex(sys *System, shardIndex, shardCount int) *ShardIndex {
 		idx.ClassKeys[slot] = append([]string(nil), sys.classKey[slot]...)
 		idx.ClassOf[slot] = append([]int32(nil), sys.classOf[slot]...)
 	}
-	return idx
+	return idx, nil
 }
 
 // WriteShardIndex serializes the index as JSON.
@@ -296,15 +263,17 @@ func (idx *ShardIndex) Digest() string {
 }
 
 // Validate checks the index's internal consistency: bounds, table shapes,
-// and class ids referencing declared classes. ReadShardIndex callers that
+// class ids referencing declared classes, and every run ledger's shape
+// and value ranges (core.RunLedger.Check). ReadShardIndex callers that
 // accept indexes across a trust boundary (the fabric coordinator) call it
 // before merging; MergeSystems always does.
 func (idx *ShardIndex) Validate() error {
 	if idx.Shards < 1 || idx.Shard < 0 || idx.Shard >= idx.Shards {
 		return fmt.Errorf("episteme: shard index declares shard %d of %d", idx.Shard, idx.Shards)
 	}
-	if idx.N < 1 || idx.Horizon < 0 {
-		return fmt.Errorf("episteme: shard %d/%d declares n=%d, horizon=%d", idx.Shard, idx.Shards, idx.N, idx.Horizon)
+	if idx.N < 1 || idx.Horizon < 0 || idx.N > maxIndexDim || idx.Horizon > maxIndexDim {
+		return fmt.Errorf("episteme: shard %d/%d declares n=%d, horizon=%d; want 1 ≤ n ≤ %d, 0 ≤ horizon ≤ %d",
+			idx.Shard, idx.Shards, idx.N, idx.Horizon, maxIndexDim, maxIndexDim)
 	}
 	nSlots := (idx.Horizon + 1) * idx.N
 	if len(idx.ClassKeys) != nSlots || len(idx.ClassOf) != nSlots {
@@ -336,63 +305,28 @@ func (idx *ShardIndex) Validate() error {
 	} else if len(idx.Mults) != 0 {
 		return fmt.Errorf("episteme: shard %d/%d carries multiplicities but is not quotiented", idx.Shard, idx.Shards)
 	}
-	for k, sr := range idx.Runs {
-		if len(sr.Inits) != idx.N || len(sr.Decisions) != idx.N || len(sr.Rounds) != idx.N {
-			return fmt.Errorf("episteme: shard %d/%d run %d has malformed ledgers", idx.Shard, idx.Shards, k)
-		}
-		if len(sr.Actions) != idx.Horizon {
-			return fmt.Errorf("episteme: shard %d/%d run %d records %d action rows, want %d",
-				idx.Shard, idx.Shards, k, len(sr.Actions), idx.Horizon)
-		}
-		for m, row := range sr.Actions {
-			if len(row) != idx.N {
-				return fmt.Errorf("episteme: shard %d/%d run %d time %d has %d actions, want %d",
-					idx.Shard, idx.Shards, k, m, len(row), idx.N)
-			}
+	for k := range idx.Runs {
+		if err := idx.Runs[k].Check(idx.N, idx.Horizon); err != nil {
+			return fmt.Errorf("episteme: shard %d/%d run %d: %w", idx.Shard, idx.Shards, k, err)
 		}
 	}
 	return nil
 }
 
-// restoreRun rebuilds the engine.Result of one exported run. States stay
-// nil: a merged System answers every knowledge query through the interned
-// class tables, never through state traces.
-func (sr *ShardRun) restoreRun(n, horizon int) (*engine.Result, error) {
+// restoreRun rebuilds the engine.Result of one exported run (see
+// core.RunLedger.Restore); the index has passed Validate. Every pattern
+// of the system's enumeration spans its n agents and horizon rounds, and
+// the text states both first, so the shape is checked before decoding
+// allocates the pattern.
+func restoreRun(led *core.RunLedger, n, horizon int) (*engine.Result, error) {
+	if !strings.HasPrefix(led.Pattern, fmt.Sprintf("n=%d;h=%d;", n, horizon)) {
+		return nil, fmt.Errorf("pattern %.40q is not over the system's %d agents and %d rounds", led.Pattern, n, horizon)
+	}
 	pat := new(model.Pattern)
-	if err := pat.UnmarshalText([]byte(sr.Pattern)); err != nil {
+	if err := pat.UnmarshalText([]byte(led.Pattern)); err != nil {
 		return nil, err
 	}
-	if pat.N() != n {
-		return nil, fmt.Errorf("pattern is for %d agents, system for %d", pat.N(), n)
-	}
-	res := &engine.Result{
-		N:             n,
-		Horizon:       horizon,
-		Pattern:       pat,
-		Inits:         make([]model.Value, n),
-		Actions:       make([][]model.Action, horizon),
-		Decision:      make([]model.Value, n),
-		DecisionRound: make([]int, n),
-		Stats: engine.Stats{
-			MessagesSent:      sr.Stats.MessagesSent,
-			MessagesDelivered: sr.Stats.MessagesDelivered,
-			BitsSent:          sr.Stats.BitsSent,
-			BitsDelivered:     sr.Stats.BitsDelivered,
-		},
-	}
-	for i := 0; i < n; i++ {
-		res.Inits[i] = model.Value(sr.Inits[i])
-		res.Decision[i] = model.Value(sr.Decisions[i])
-		res.DecisionRound[i] = sr.Rounds[i]
-	}
-	for m, row := range sr.Actions {
-		acts := make([]model.Action, n)
-		for i, a := range row {
-			acts[i] = model.Action(a)
-		}
-		res.Actions[m] = acts
-	}
-	return res, nil
+	return led.Restore(pat, horizon), nil
 }
 
 // MergeSystems re-interns K partial indexes — one per stripe of a K-way
@@ -471,7 +405,7 @@ func MergeSystems(ctx context.Context, shards []*ShardIndex, opts ...Option) (*S
 	}
 	for g := 0; g < total; g++ {
 		idx := byShard[g%k]
-		res, err := idx.Runs[g/k].restoreRun(n, horizon)
+		res, err := restoreRun(&idx.Runs[g/k], n, horizon)
 		if err != nil {
 			return nil, fmt.Errorf("episteme: shard %d run %d (global %d): %w", g%k, g/k, g, err)
 		}
@@ -482,13 +416,7 @@ func MergeSystems(ctx context.Context, shards []*ShardIndex, opts ...Option) (*S
 	}
 
 	sys := &System{N: n, T: ref.T, Horizon: horizon, Runs: runs, weights: weights, par: o.par}
-	nSlots := (horizon + 1) * n
-	sys.classOf = make([][]int32, nSlots)
-	sys.classRuns = make([][][]int, nSlots)
-	sys.classKey = make([][]string, nSlots)
-	sys.classGlobal = make([][]int32, nSlots)
-	sys.byKey = make([]map[string]int32, nSlots)
-	sys.globalByKey = make(map[string]int32)
+	sys.allocIndex()
 
 	// Re-intern each time slice's slots in parallel (slots are
 	// independent), assigning class ids by first appearance in global run
@@ -510,29 +438,12 @@ func MergeSystems(ctx context.Context, shards []*ShardIndex, opts ...Option) (*S
 				}
 				classOf[g] = c
 			}
-			sys.classOf[slot] = classOf
-			sys.classRuns[slot] = packClassRuns(classOf, len(classKey))
-			sys.classKey[slot] = classKey
-			sys.byKey[slot] = byKey
+			sys.setSlot(slot, classOf, classKey, byKey)
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	// Fold the system-wide key interning sequentially in slot order,
-	// exactly as buildIndex does.
-	for slot := 0; slot < nSlots; slot++ {
-		keys := sys.classKey[slot]
-		global := make([]int32, len(keys))
-		for c, key := range keys {
-			id, ok := sys.globalByKey[key]
-			if !ok {
-				id = int32(len(sys.globalByKey))
-				sys.globalByKey[key] = id
-			}
-			global[c] = id
-		}
-		sys.classGlobal[slot] = global
-	}
+	sys.foldGlobal(0, len(sys.classKey))
 	return sys, nil
 }

@@ -216,3 +216,81 @@ func TestMergeSystemsStackMetadata(t *testing.T) {
 		t.Fatal("merge accepted conflicting stack names")
 	}
 }
+
+// TestValidateRejectsOutOfRangeLedgers: an index whose ledgers have the
+// right lengths but out-of-range values — the shape a hostile or corrupt
+// upload takes — is refused by Validate (and so by MergeSystems) with an
+// error naming the shard, the run, and the field, instead of being
+// restored into values like model.Value(7).
+func TestValidateRejectsOutOfRangeLedgers(t *testing.T) {
+	ctx := context.Background()
+	built, err := BuildShardIndex(ctx, fipContext31(), action.NewOpt(1), 1, 2, WithQuotient())
+	if err != nil {
+		t.Fatalf("BuildShardIndex: %v", err)
+	}
+	var clean bytes.Buffer
+	if err := WriteShardIndex(&clean, built); err != nil {
+		t.Fatal(err)
+	}
+	const run = 2
+	cases := []struct {
+		field  string
+		mutate func(idx *ShardIndex)
+	}{
+		{"decisions[1]", func(idx *ShardIndex) { idx.Runs[run].Decisions[1] = 7 }},
+		{"decisions[0]", func(idx *ShardIndex) { idx.Runs[run].Decisions[0] = -2 }},
+		{"rounds[2]", func(idx *ShardIndex) { idx.Runs[run].Rounds[2] = idx.Horizon + 1 }},
+		{"rounds[0]", func(idx *ShardIndex) { idx.Runs[run].Rounds[0] = -1 }},
+		{"actions[1][0]", func(idx *ShardIndex) { idx.Runs[run].Actions[1][0] = 3 }},
+		{"actions[0][2]", func(idx *ShardIndex) { idx.Runs[run].Actions[0][2] = -1 }},
+		{"inits[1]", func(idx *ShardIndex) { idx.Runs[run].Inits[1] = 2 }},
+		{"inits has 2 entries", func(idx *ShardIndex) { idx.Runs[run].Inits = idx.Runs[run].Inits[:2] }},
+		{"actions has 2 rows", func(idx *ShardIndex) { idx.Runs[run].Actions = idx.Runs[run].Actions[:2] }},
+	}
+	for _, tc := range cases {
+		idx, err := ReadShardIndex(bytes.NewReader(clean.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := idx.Validate(); err != nil {
+			t.Fatalf("pristine index fails Validate: %v", err)
+		}
+		tc.mutate(idx)
+		err = idx.Validate()
+		if err == nil {
+			t.Errorf("%s: Validate accepted the out-of-range ledger", tc.field)
+			continue
+		}
+		for _, want := range []string{"shard 1/2", fmt.Sprintf("run %d", run), tc.field} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not name %q", tc.field, err, want)
+			}
+		}
+		idx.Shard, idx.Shards = 0, 1
+		if _, err := MergeSystems(ctx, []*ShardIndex{idx}); err == nil {
+			t.Errorf("%s: MergeSystems accepted the out-of-range ledger", tc.field)
+		}
+	}
+}
+
+// TestMergeRejectsForeignPatterns: a run whose pattern text declares a
+// different agent count or horizon than its index is refused before the
+// pattern is decoded (a declared shape sizes the decoder's allocation).
+func TestMergeRejectsForeignPatterns(t *testing.T) {
+	ctx := context.Background()
+	idx, err := BuildShardIndex(ctx, fipContext31(), action.NewOpt(1), 0, 1, WithQuotient())
+	if err != nil {
+		t.Fatalf("BuildShardIndex: %v", err)
+	}
+	orig := idx.Runs[0].Pattern
+	for _, bad := range []string{
+		strings.Replace(orig, "n=3;", "n=9999999;", 1),
+		strings.Replace(orig, ";h=3;", ";h=9999999;", 1),
+		orig + ";n=9999999",
+	} {
+		idx.Runs[0].Pattern = bad
+		if _, err := MergeSystems(ctx, []*ShardIndex{idx}); err == nil {
+			t.Errorf("MergeSystems accepted pattern %q", bad)
+		}
+	}
+}

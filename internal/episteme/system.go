@@ -390,13 +390,7 @@ func buildSystemFromSource(ctx context.Context, c Context, act model.ActionProto
 func (s *System) buildIndex(ctx context.Context, m0, m1 int) error {
 	n := s.N
 	if s.classOf == nil {
-		nSlots := (s.Horizon + 1) * n
-		s.classOf = make([][]int32, nSlots)
-		s.classRuns = make([][][]int, nSlots)
-		s.classKey = make([][]string, nSlots)
-		s.classGlobal = make([][]int32, nSlots)
-		s.byKey = make([]map[string]int32, nSlots)
-		s.globalByKey = make(map[string]int32)
+		s.allocIndex()
 	}
 	err := parallelDo(ctx, s.parallelism(), m1-m0, func(k int) {
 		m := m0 + k
@@ -438,16 +432,45 @@ func (s *System) buildIndex(ctx context.Context, m0, m1 int) error {
 			for r := range s.Runs {
 				classOf[r] = classOfRow[rowOf[r]]
 			}
-			s.classOf[slot] = classOf
-			s.classRuns[slot] = packClassRuns(classOf, len(classKey))
-			s.classKey[slot] = classKey
-			s.byKey[slot] = byKey
+			s.setSlot(slot, classOf, classKey, byKey)
 		}
 	})
 	if err != nil {
 		return err
 	}
-	lo, hi := m0*n, m1*n
+	s.foldGlobal(m0*n, m1*n)
+	return nil
+}
+
+// allocIndex allocates the system's per-slot index tables, one entry per
+// (time, agent) slot, and its system-wide key interning — the shape every
+// builder (buildIndex, the cached build, MergeSystems, ExpandQuotient)
+// fills.
+func (s *System) allocIndex() {
+	nSlots := (s.Horizon + 1) * s.N
+	s.classOf = make([][]int32, nSlots)
+	s.classRuns = make([][][]int, nSlots)
+	s.classKey = make([][]string, nSlots)
+	s.classGlobal = make([][]int32, nSlots)
+	s.byKey = make([]map[string]int32, nSlots)
+	s.globalByKey = make(map[string]int32)
+}
+
+// setSlot installs one slot's interning: run r's class id, the class
+// keys in first-appearance order, and the key → id map. Slots are
+// independent, so builders call it from parallel workers.
+func (s *System) setSlot(slot int, classOf []int32, classKey []string, byKey map[string]int32) {
+	s.classOf[slot] = classOf
+	s.classRuns[slot] = packClassRuns(classOf, len(classKey))
+	s.classKey[slot] = classKey
+	s.byKey[slot] = byKey
+}
+
+// foldGlobal folds the class keys of slots [lo, hi) into the system-wide
+// key interning, sequentially in slot order. Every builder folds in this
+// one order, which is what makes global ids — and so every verdict —
+// agree between built, cached, merged, and expanded systems.
+func (s *System) foldGlobal(lo, hi int) {
 	for slot := lo; slot < hi; slot++ {
 		keys := s.classKey[slot]
 		global := make([]int32, len(keys))
@@ -461,7 +484,6 @@ func (s *System) buildIndex(ctx context.Context, m0, m1 int) error {
 		}
 		s.classGlobal[slot] = global
 	}
-	return nil
 }
 
 // packClassRuns carves a slot's per-class member lists out of one flat

@@ -51,11 +51,20 @@ func (p *Pattern) UnmarshalText(text []byte) error {
 	var faulty []int
 	type drop struct{ m, i, j int }
 	var drops []drop
+	var seen [4]bool // fields n, h, f, d
 
 	for _, field := range strings.Split(string(text), ";") {
 		k, v, found := strings.Cut(field, "=")
 		if !found {
 			return fmt.Errorf("model: bad pattern field %q", field)
+		}
+		// A repeated field would let a later n or h override the shape a
+		// reader checked in the text's canonical prefix.
+		if f := strings.Index("nhfd", k); len(k) == 1 && f >= 0 {
+			if seen[f] {
+				return fmt.Errorf("model: duplicate pattern field %q", k)
+			}
+			seen[f] = true
 		}
 		switch k {
 		case "n":

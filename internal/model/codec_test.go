@@ -76,6 +76,7 @@ func TestPatternUnmarshalErrors(t *testing.T) {
 		"n=3;h=2;f=;d=;zz=1",    // unknown field
 		"garbage",               // no key=value
 		"n=3;h=2;f=;d=0:0:9",    // recipient out of range
+		"n=3;h=2;f=;d=;n=9",     // duplicate field overriding the shape
 		strings.Repeat("n=", 1), // degenerate
 	}
 	for _, c := range cases {
