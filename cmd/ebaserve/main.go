@@ -39,6 +39,10 @@ import (
 	eba "repro"
 )
 
+// readHeaderTimeout bounds how long a client may take to send request
+// headers, so slow or idle connections cannot pin the daemon's sockets.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -112,7 +116,7 @@ func serve(listen, cacheDir, cacheURL string, parallel, systems, builds, infligh
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},
 	})
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 
 	ln, err := net.Listen("tcp", listen)
 	if err != nil {

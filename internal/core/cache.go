@@ -187,9 +187,6 @@ func NewCachingExecutor(inner engine.Executor, cache ResultCache, version string
 	return &CachingExecutor{inner: inner, cache: cache, version: version}
 }
 
-// Name identifies the substrate, wrapping the inner executor's name.
-func (x *CachingExecutor) Name() string { return "cached(" + x.inner.Name() + ")" }
-
 // Counters snapshots the executor's hit/miss traffic.
 func (x *CachingExecutor) Counters() CacheCounters {
 	return CacheCounters{Hits: x.hits.Load(), Misses: x.misses.Load()}

@@ -1,15 +1,10 @@
 // The run ledger: the one encoding of an executed run's observable
-// outcome that crosses a process boundary.
-//
-// A run in the synchronous omission model is a pure function of the
-// stack, the failure pattern, and the initial values, so what a sweep
-// aggregates, a spec check judges, or a knowledge checker consults fits
-// in a small ledger: the scenario restated, who decided what and when,
-// every agent's per-round action, and the traffic stats. Outcome-stream
-// records (OutcomeRecord), result-cache payloads (CachedRun), and
-// episteme shard indexes all carry it; NewRunLedger is its one encoder,
-// Restore its one inverse, and Check its one shape-and-range check, so
-// the three formats cannot drift apart on what a run's outcome is.
+// outcome — the scenario restated, who decided what and when, every
+// agent's per-round action, and the traffic stats. Outcome-stream
+// records, result-cache payloads, and episteme shard indexes all carry
+// it; NewRunLedger is its one encoder, Restore its one inverse, and
+// Check its one shape-and-range check, so the formats cannot drift apart
+// on what a run's outcome is.
 
 package core
 
@@ -28,9 +23,8 @@ type OutcomeStats struct {
 	BitsDelivered     int64 `json:"bitsDelivered"`
 }
 
-// RunDecisions is the head every run encoding shares: the scenario
-// restated and the decision ledger. Encodings embed it, so its fields
-// keep their JSON position in every format.
+// RunDecisions is the head every run encoding embeds: the scenario
+// restated and the decision ledger.
 type RunDecisions struct {
 	// Pattern is the failure pattern in model.Pattern's text form.
 	Pattern string `json:"pattern"`
@@ -42,8 +36,8 @@ type RunDecisions struct {
 	Rounds    []int `json:"rounds"`
 }
 
-// RunLedger is one executed run reduced to its observable outcome.
-// State traces stay in the process that ran them.
+// RunLedger is one executed run reduced to its observable outcome; state
+// traces stay in the process that ran them.
 type RunLedger struct {
 	RunDecisions
 	// Actions[m][i] is agent i's recorded action at time m.
@@ -52,8 +46,7 @@ type RunLedger struct {
 	Stats OutcomeStats `json:"stats"`
 }
 
-// encodeDecisions flattens the run's scenario, decision ledger, and
-// traffic stats: the fields every encoding carries.
+// encodeDecisions flattens the fields every encoding carries.
 func encodeDecisions(res *engine.Result) (RunDecisions, OutcomeStats, error) {
 	text, err := res.Pattern.MarshalText()
 	if err != nil {
@@ -97,11 +90,9 @@ func NewRunLedger(res *engine.Result) (RunLedger, error) {
 }
 
 // Check reports the first way the ledger fails to describe a run of n
-// agents over horizon rounds: a ledger of the wrong length, or a value
-// outside its field's range (inits in {0, 1}, decisions in [None, One],
-// rounds in [0, horizon], actions in [Noop, Decide1]). The error names
-// the offending field. Ledgers read from disk or the wire pass Check
-// before Restore turns their ints back into model values.
+// agents over horizon rounds — a wrong length, or a value outside its
+// field's range — in an error naming the field. Ledgers read from disk
+// or the wire pass Check before Restore turns them into model values.
 func (l *RunLedger) Check(n, horizon int) error {
 	for _, f := range []struct {
 		name string
@@ -138,11 +129,10 @@ func (l *RunLedger) Check(n, horizon int) error {
 	return nil
 }
 
-// Restore rebuilds the engine.Result the ledger encodes, over the given
-// (already decoded) pattern, minus the state trace: States is nil, which
-// every consumer of a restored run — sweeps, spec checks, the knowledge
-// checkers' interned index — is built for. The ledger must have passed
-// Check(pat.N(), horizon).
+// Restore rebuilds the engine.Result the ledger encodes over the decoded
+// pattern, minus the state trace (States is nil: sweeps, spec checks, and
+// the knowledge checkers' interned index never read it). The ledger must
+// have passed Check(pat.N(), horizon).
 func (l *RunLedger) Restore(pat *model.Pattern, horizon int) *engine.Result {
 	n := pat.N()
 	res := &engine.Result{

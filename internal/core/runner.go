@@ -106,9 +106,6 @@ func NewRunner(stack Stack, opts ...RunnerOption) *Runner {
 // Stack returns the stack the runner executes.
 func (r *Runner) Stack() Stack { return r.stack }
 
-// Executor returns the runner's execution substrate.
-func (r *Runner) Executor() engine.Executor { return r.exec }
-
 // RunOutcome is one completed (or failed) scenario of a Stream.
 type RunOutcome struct {
 	// Index is the scenario's position in the input slice.

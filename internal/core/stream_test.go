@@ -51,8 +51,6 @@ type gateExecutor struct {
 	release chan struct{}
 }
 
-func (g *gateExecutor) Name() string { return "gate" }
-
 func (g *gateExecutor) Execute(cfg engine.Config, buf *engine.Buffers) (*engine.Result, error) {
 	if cfg.Pattern == g.target {
 		<-g.release
@@ -307,8 +305,6 @@ type failingExecutor struct {
 	err    error
 	calls  atomic.Int64
 }
-
-func (f *failingExecutor) Name() string { return "failing" }
 
 func (f *failingExecutor) Execute(cfg engine.Config, buf *engine.Buffers) (*engine.Result, error) {
 	f.calls.Add(1)

@@ -93,7 +93,9 @@ func scribbleState(st model.State) int {
 // TestArenaTraceIdentityAllStacks checks the non-negotiable invariant of
 // the arena refactor: for every registered stack, the fresh-allocation
 // path, the plain buffered path, and the arena-backed buffered path
-// produce bit-identical traces, run after run over shared buffers.
+// produce bit-identical traces, run after run over shared buffers. The
+// buffered runs go through the Executor interface, the path the core
+// Runner and the executors standing in for the engine use.
 func TestArenaTraceIdentityAllStacks(t *testing.T) {
 	n, tf := 5, 2
 	for _, name := range registry.StackNames() {
@@ -105,6 +107,7 @@ func TestArenaTraceIdentityAllStacks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var x Executor = Sequential{}
 		plain, arena := NewBuffers(), NewArenaBuffers()
 		for k, cfg := range arenaScenarios(n, tf, 12, 41) {
 			cfg.Exchange, cfg.Action = ex, act
@@ -113,14 +116,14 @@ func TestArenaTraceIdentityAllStacks(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := runSignature(fresh)
-			bres, err := RunBuffered(cfg, plain)
+			bres, err := x.Execute(cfg, plain)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := runSignature(bres); got != want {
 				t.Fatalf("%s scenario %d: plain buffered trace diverged", name, k)
 			}
-			ares, err := RunBuffered(cfg, arena)
+			ares, err := x.Execute(cfg, arena)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -261,42 +264,6 @@ func TestArenaClonesAreIndependent(t *testing.T) {
 		}
 		if g.Key() != key {
 			t.Fatalf("scribbling clone %d reached the source", c)
-		}
-	}
-}
-
-// TestSequentialExecutorMatchesRun drives the engine through the
-// Executor interface — the path the core Runner and its wrapping
-// executors use — unbuffered, plain-buffered, and arena-backed, and
-// requires the trace Run produces for every registered stack.
-func TestSequentialExecutorMatchesRun(t *testing.T) {
-	var x Executor = Sequential{}
-	if x.Name() != "sequential" {
-		t.Fatalf("executor name %q, want sequential", x.Name())
-	}
-	n, tf := 5, 2
-	for _, name := range registry.StackNames() {
-		info, err := registry.Stack(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ex, act, err := registry.Compose(info.Exchange, info.Action, n, tf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buffers := []*Buffers{nil, NewBuffers(), NewArenaBuffers()}
-		for k, cfg := range arenaScenarios(n, tf, 10, 17) {
-			cfg.Exchange, cfg.Action = ex, act
-			want := runSignature(MustRun(cfg))
-			for b, buf := range buffers {
-				got, err := x.Execute(cfg, buf)
-				if err != nil {
-					t.Fatalf("%s scenario %d buffers %d: %v", name, k, b, err)
-				}
-				if runSignature(got) != want {
-					t.Fatalf("%s scenario %d buffers %d: executor trace diverged from Run", name, k, b)
-				}
-			}
 		}
 	}
 }

@@ -380,8 +380,6 @@ func stepInto(ex model.Exchange, pat *model.Pattern, m int, states []model.State
 // checker's memoizing executor — stand in for it and must return Results
 // byte-identical to Sequential's.
 type Executor interface {
-	// Name identifies the executor ("sequential", "cached(sequential)").
-	Name() string
 	// Execute runs one configuration to completion. Executors that do not
 	// support scratch reuse ignore buf.
 	Execute(cfg Config, buf *Buffers) (*Result, error)
@@ -390,9 +388,6 @@ type Executor interface {
 // Sequential is the deterministic single-threaded executor: Execute is
 // RunBuffered.
 type Sequential struct{}
-
-// Name returns "sequential".
-func (Sequential) Name() string { return "sequential" }
 
 // Execute runs the configuration on the sequential engine.
 func (Sequential) Execute(cfg Config, buf *Buffers) (*Result, error) { return RunBuffered(cfg, buf) }

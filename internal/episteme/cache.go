@@ -23,9 +23,9 @@ import (
 	"repro/internal/model"
 )
 
-// cacheStack is the stack identity cached episteme builds derive their
-// version digest from (and buildSystemCached executes misses on). Both
-// the per-scenario entries here and the stripe-index entries in
+// cacheStack is the stack every episteme build executes on, and the
+// identity cached builds derive their version digest from. The
+// per-scenario entries here and the stripe-index entries in
 // BuildShardIndex must key off the same digest, so both build it here.
 func cacheStack(c Context, act model.ActionProtocol, n, horizon int) core.Stack {
 	return core.Stack{

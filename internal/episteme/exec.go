@@ -64,9 +64,6 @@ func newMemoExec(n int) *memoExec {
 	}
 }
 
-// Name identifies the executor.
-func (e *memoExec) Name() string { return "episteme-memo" }
-
 // internState returns the dense id of a local-state key, growing the
 // per-agent action memos alongside the id space.
 func (e *memoExec) internState(key string) int32 {

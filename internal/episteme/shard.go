@@ -313,22 +313,6 @@ func (idx *ShardIndex) Validate() error {
 	return nil
 }
 
-// restoreRun rebuilds the engine.Result of one exported run (see
-// core.RunLedger.Restore); the index has passed Validate. Every pattern
-// of the system's enumeration spans its n agents and horizon rounds, and
-// the text states both first, so the shape is checked before decoding
-// allocates the pattern.
-func restoreRun(led *core.RunLedger, n, horizon int) (*engine.Result, error) {
-	if !strings.HasPrefix(led.Pattern, fmt.Sprintf("n=%d;h=%d;", n, horizon)) {
-		return nil, fmt.Errorf("pattern %.40q is not over the system's %d agents and %d rounds", led.Pattern, n, horizon)
-	}
-	pat := new(model.Pattern)
-	if err := pat.UnmarshalText([]byte(led.Pattern)); err != nil {
-		return nil, err
-	}
-	return led.Restore(pat, horizon), nil
-}
-
 // MergeSystems re-interns K partial indexes — one per stripe of a K-way
 // deterministic split, in any order — into one System. Global run r comes
 // from shard r mod K at stripe position r div K, restoring the canonical
@@ -403,13 +387,22 @@ func MergeSystems(ctx context.Context, shards []*ShardIndex, opts ...Option) (*S
 	if ref.Quotient {
 		weights = make([]int64, total)
 	}
+	// Every pattern of the enumeration spans the system's n agents and
+	// horizon rounds, and its text states both first: check that before
+	// decoding sizes an allocation by them.
+	shape := fmt.Sprintf("n=%d;h=%d;", n, horizon)
 	for g := 0; g < total; g++ {
 		idx := byShard[g%k]
-		res, err := restoreRun(&idx.Runs[g/k], n, horizon)
-		if err != nil {
+		led := &idx.Runs[g/k]
+		if !strings.HasPrefix(led.Pattern, shape) {
+			return nil, fmt.Errorf("episteme: shard %d run %d (global %d): pattern %.40q is not over the system's %d agents and %d rounds",
+				g%k, g/k, g, led.Pattern, n, horizon)
+		}
+		pat := new(model.Pattern)
+		if err := pat.UnmarshalText([]byte(led.Pattern)); err != nil {
 			return nil, fmt.Errorf("episteme: shard %d run %d (global %d): %w", g%k, g/k, g, err)
 		}
-		runs[g] = res
+		runs[g] = led.Restore(pat, horizon)
 		if weights != nil {
 			weights[g] = idx.Mults[g/k]
 		}

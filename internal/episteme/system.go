@@ -335,14 +335,7 @@ func buildSystemFromSource(ctx context.Context, c Context, act model.ActionProto
 	}
 	n := c.Exchange.N()
 	horizon := c.horizonOrDefault()
-	stack := core.Stack{
-		Name:     "episteme(" + act.Name() + ")",
-		Exchange: c.Exchange,
-		Action:   act,
-		N:        n,
-		T:        c.T,
-	}.AtHorizon(horizon)
-	runner := core.NewRunner(stack,
+	runner := core.NewRunner(cacheStack(c, act, n, horizon),
 		core.WithExecutor(newMemoExec(n)),
 		core.WithParallelism(o.par),
 		core.WithBufferReuse())
@@ -442,10 +435,8 @@ func (s *System) buildIndex(ctx context.Context, m0, m1 int) error {
 	return nil
 }
 
-// allocIndex allocates the system's per-slot index tables, one entry per
-// (time, agent) slot, and its system-wide key interning — the shape every
-// builder (buildIndex, the cached build, MergeSystems, ExpandQuotient)
-// fills.
+// allocIndex allocates the per-slot index tables and the system-wide
+// key interning that every System builder fills.
 func (s *System) allocIndex() {
 	nSlots := (s.Horizon + 1) * s.N
 	s.classOf = make([][]int32, nSlots)
@@ -456,9 +447,8 @@ func (s *System) allocIndex() {
 	s.globalByKey = make(map[string]int32)
 }
 
-// setSlot installs one slot's interning: run r's class id, the class
-// keys in first-appearance order, and the key → id map. Slots are
-// independent, so builders call it from parallel workers.
+// setSlot installs one slot's interning; slots are independent, so
+// builders call it from parallel workers.
 func (s *System) setSlot(slot int, classOf []int32, classKey []string, byKey map[string]int32) {
 	s.classOf[slot] = classOf
 	s.classRuns[slot] = packClassRuns(classOf, len(classKey))
@@ -467,9 +457,8 @@ func (s *System) setSlot(slot int, classOf []int32, classKey []string, byKey map
 }
 
 // foldGlobal folds the class keys of slots [lo, hi) into the system-wide
-// key interning, sequentially in slot order. Every builder folds in this
-// one order, which is what makes global ids — and so every verdict —
-// agree between built, cached, merged, and expanded systems.
+// interning in slot order — the one order that makes global ids agree
+// between built, cached, merged, and expanded systems.
 func (s *System) foldGlobal(lo, hi int) {
 	for slot := lo; slot < hi; slot++ {
 		keys := s.classKey[slot]

@@ -88,7 +88,7 @@ type EpistemeBenchBaseline struct {
 // plus two symmetry-quotiented workloads: n=4,t=1 built through
 // episteme.WithQuotient (the direct full-vs-quotient comparison) and
 // the exhaustive n=5,t=1 sweep, which only the quotient makes a
-// practical bench entry (655,392 runs from ~27k executed
+// practical bench entry (655,392 runs from 7,758 executed
 // representatives). Every repetition builds a fresh system, so the
 // check includes the C_N condensation cost; quotiented builds include
 // the expansion back to the full system, so their Runs — and their

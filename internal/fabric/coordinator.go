@@ -233,6 +233,29 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
+// MaxRequestBody bounds the JSON body of every request the daemons
+// decode — the coordinator's /lease and /heartbeat, ebaserve's work
+// requests. Real ones are a few hundred bytes; stripe uploads are sized
+// by the job and not subject to it.
+const MaxRequestBody = 64 << 10
+
+// DecodeRequest decodes the request's JSON body, read through
+// http.MaxBytesReader at MaxRequestBody. On failure it has already
+// answered: 413 for an over-limit body, 400 for anything else.
+func DecodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBody)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		http.Error(w, fmt.Sprintf("request body exceeds %d bytes", MaxRequestBody), http.StatusRequestEntityTooLarge)
+	default:
+		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+	}
+	return false
+}
+
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -271,7 +294,10 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req LeaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Worker == "" {
+	if !DecodeRequest(w, r, &req) {
+		return
+	}
+	if req.Worker == "" {
 		http.Error(w, "lease request needs a worker id", http.StatusBadRequest)
 		return
 	}
@@ -298,7 +324,10 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req HeartbeatRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Worker == "" {
+	if !DecodeRequest(w, r, &req) {
+		return
+	}
+	if req.Worker == "" {
 		http.Error(w, "heartbeat needs a worker id and stripe", http.StatusBadRequest)
 		return
 	}

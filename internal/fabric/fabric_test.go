@@ -871,3 +871,25 @@ func TestStatusAgesStaleCacheReport(t *testing.T) {
 		t.Fatalf("stale=%v age=%dms; want stale last-known counters aged 4000ms", wr.CacheStale, wr.CacheAgeMillis)
 	}
 }
+
+// TestOversizedControlBody413: /lease and /heartbeat bodies beyond
+// MaxRequestBody are refused with 413, and the coordinator keeps
+// granting leases to well-formed requests afterwards.
+func TestOversizedControlBody413(t *testing.T) {
+	_, srv := newTestCoordinator(t, testJob(2), time.Minute)
+	huge := []byte(`{"worker":"` + strings.Repeat("w", MaxRequestBody) + `"}`)
+	for _, path := range []string{"/lease", "/heartbeat"} {
+		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(huge))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status %d, want 413", path, resp.StatusCode)
+		}
+	}
+	if _, code := leaseStripe(t, srv.URL, "w1"); code != http.StatusOK {
+		t.Fatalf("valid lease after the oversized requests: status %d, want 200", code)
+	}
+}

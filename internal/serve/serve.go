@@ -252,8 +252,7 @@ func newStack(name string, n, t, horizon int) (core.Stack, error) {
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad sweep request: "+err.Error(), http.StatusBadRequest)
+	if !fabric.DecodeRequest(w, r, &req) {
 		return
 	}
 	shard, err := source.ParseShardSpec(req.Shard)
@@ -337,8 +336,7 @@ type CheckRequest struct {
 
 func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	var req CheckRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad check request: "+err.Error(), http.StatusBadRequest)
+	if !fabric.DecodeRequest(w, r, &req) {
 		return
 	}
 	stack, err := newStack(req.Stack, req.N, req.T, req.Horizon)
@@ -452,8 +450,7 @@ type KnowledgeResponse struct {
 
 func (s *Server) handleKnowledge(w http.ResponseWriter, r *http.Request) {
 	var req KnowledgeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad knowledge request: "+err.Error(), http.StatusBadRequest)
+	if !fabric.DecodeRequest(w, r, &req) {
 		return
 	}
 	stack, err := newStack(req.Stack, req.N, req.T, req.Horizon)

@@ -516,3 +516,26 @@ func TestResultCacheBackedServer(t *testing.T) {
 		t.Fatal("second identical sweep did not hit the result cache")
 	}
 }
+
+// TestOversizedBody413: a work request whose JSON body exceeds
+// fabric.MaxRequestBody is refused with 413 on every endpoint, and the server
+// keeps answering valid requests afterwards.
+func TestOversizedBody413(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	huge := []byte(`{"stack":"` + strings.Repeat("x", fabric.MaxRequestBody) + `"}`)
+	for _, path := range []string{"/v1/sweep", "/v1/check", "/v1/knowledge"} {
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(huge))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		body := readAll(t, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status %d (%s), want 413", path, resp.StatusCode, body)
+		}
+	}
+	resp := postJSON(t, ts.URL+"/v1/knowledge", KnowledgeRequest{Stack: "min", N: 3, T: 1, Query: QueryExists, Value: 1})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("valid request after the oversized ones: status %d (%s), want 200", resp.StatusCode, readAll(t, resp.Body))
+	}
+}
