@@ -293,10 +293,10 @@ func BenchmarkRunnerBatch(b *testing.B) {
 }
 
 // BenchmarkEngineBufferReuse isolates the allocation savings of the
-// reusable scratch buffers — plain and arena-backed — on single runs of
-// the min and fip stacks. CI runs it with -benchtime=1x as a smoke test
-// so allocation regressions on the hot path fail loudly; the calibrated
-// numbers live in BENCH_engine.json (ebabench -bench-engine).
+// reusable engine buffers on single runs of the min and fip stacks. CI
+// runs it with -benchtime=1x as a smoke test so allocation regressions on
+// the hot path fail loudly; the calibrated numbers live in
+// BENCH_engine.json (ebabench -bench-engine).
 func BenchmarkEngineBufferReuse(b *testing.B) {
 	cases := []struct {
 		stackName string
@@ -321,15 +321,6 @@ func BenchmarkEngineBufferReuse(b *testing.B) {
 		b.Run(c.stackName+"/reused", func(b *testing.B) {
 			b.ReportAllocs()
 			buf := engine.NewBuffers()
-			for i := 0; i < b.N; i++ {
-				if _, err := engine.RunBuffered(cfg, buf); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(c.stackName+"/arena", func(b *testing.B) {
-			b.ReportAllocs()
-			buf := engine.NewArenaBuffers()
 			for i := 0; i < b.N; i++ {
 				if _, err := engine.RunBuffered(cfg, buf); err != nil {
 					b.Fatal(err)

@@ -15,10 +15,10 @@
 //
 // With -bench-engine it measures the execution engine's reference
 // workloads (the exhaustive fip n=4,t=1 horizon sweep and a min n=8,t=2
-// random batch) with arena-backed buffers off and on, writes the record
-// — including the pre-arena baseline — to the given JSON file, and fails
-// unless the arenas cut allocations per op by at least 2× against that
-// baseline.
+// random batch) over reused engine buffers, writes the record —
+// including the unbuffered baseline — to the given JSON file, and fails
+// unless the fip sweep allocates at least 2× fewer times per op than
+// that baseline.
 //
 // With -gate baseline.json:current.json (repeatable) it instead runs the
 // CI bench-regression gate: the current record fails against the
@@ -76,7 +76,7 @@ func run(args []string) error {
 		parallel  = fs.Int("parallel", 0, "workers for the scenario sweeps and model checks (0 = one per CPU)")
 		skipSlow  = fs.Bool("skip-slow", false, "skip the exhaustive model-checking experiments")
 		benchOut  = fs.String("bench-episteme", "", "measure the model checker's reference workloads and write the perf record to this JSON file (skips the experiment tables)")
-		engineOut = fs.String("bench-engine", "", "measure the engine's reference workloads with arenas off/on and write the perf record to this JSON file (skips the experiment tables)")
+		engineOut = fs.String("bench-engine", "", "measure the engine's reference workloads and write the perf record to this JSON file (skips the experiment tables)")
 		serveOut  = fs.String("bench-serve", "", "measure the serving layer's mixed-load throughput and write the perf record to this JSON file (skips the experiment tables)")
 		benchReps = fs.Int("bench-reps", 3, "repetitions per workload for -bench-episteme / -bench-engine / -bench-serve (medians are reported)")
 	)
@@ -156,9 +156,9 @@ func runGates(gates gatePairs) error {
 	return nil
 }
 
-// benchEngine measures the engine's reference workloads with arenas off
-// and on, writes the perf-trajectory record, and enforces the arena
-// acceptance bar (≥ 2× fewer allocs/op than the pre-arena baseline).
+// benchEngine measures the engine's reference workloads, writes the
+// perf-trajectory record, and enforces the allocation acceptance bar
+// (≥ 2× fewer allocs/op than the unbuffered baseline).
 func benchEngine(path string, reps int) error {
 	fmt.Printf("benchmarking the engine hot path (reps=%d)...\n", reps)
 	bench, err := experiments.BenchEngine(reps)
@@ -166,14 +166,10 @@ func benchEngine(path string, reps int) error {
 		return err
 	}
 	for _, e := range bench.Entries {
-		mode := "arenas=off"
-		if e.Arenas {
-			mode = "arenas=on "
-		}
-		line := fmt.Sprintf("  %-18s %s runs=%d ns/op=%d B/op=%d allocs/op=%d",
-			e.Name, mode, e.Runs, e.NsPerOp, e.BytesPerOp, e.AllocsPerOp)
-		if base, ok := bench.Baseline[e.Name]; ok && e.Arenas && e.AllocsPerOp > 0 {
-			line += fmt.Sprintf("  (%.1fx fewer allocs than pre-arena baseline)",
+		line := fmt.Sprintf("  %-18s runs=%d ns/op=%d B/op=%d allocs/op=%d",
+			e.Name, e.Runs, e.NsPerOp, e.BytesPerOp, e.AllocsPerOp)
+		if base, ok := bench.Baseline[e.Name]; ok && e.AllocsPerOp > 0 {
+			line += fmt.Sprintf("  (%.1fx fewer allocs than baseline)",
 				float64(base.AllocsPerOp)/float64(e.AllocsPerOp))
 		}
 		fmt.Println(line)

@@ -1,5 +1,5 @@
 // Command ebavet is the repo's contract checker: a go/analysis
-// multichecker enforcing the arena-ownership, determinism,
+// multichecker enforcing the pooled-Ref ownership, determinism,
 // cancellation-cause, and error-taxonomy contracts (see
 // internal/analysis). It speaks the `go vet -vettool` protocol, which
 // is how CI and developers run it:

@@ -1,35 +1,21 @@
-// Package arenasafety enforces the arena ownership contracts of the
-// messaging hot path (see internal/graph/arena.go and engine.Buffers):
+// Package arenasafety enforces the ownership contract of the pooled
+// values on the messaging hot path: graph.AcquireRef/AcquireRefNoCK draw
+// a Ref analyzer from a pool and must be paired with Ref.Release within
+// the acquiring function — unless the acquired value escapes (is
+// returned, stored into longer-lived structure, or handed to another
+// function), in which case ownership moved and the pairing obligation
+// moved with it.
 //
-//  1. Pairing: graph.AcquireRef/AcquireRefNoCK must be paired with
-//     Ref.Release, and BufferedExchange.AcquireScratch with
-//     ReleaseScratch, within the acquiring function — unless the
-//     acquired value escapes (is returned, stored into longer-lived
-//     structure, or handed to another function), in which case
-//     ownership moved and the pairing obligation moved with it.
-//
-//  2. Detach before retention: a value produced by an arena-backed
-//     producer (Graph.CloneExtendedIn, Arena.New,
-//     BufferedExchange.UpdateScratch, engine.StepInto) references
-//     recyclable scratch memory. A function that retains such a value
-//     beyond its own frame — a struct-field store, a map store, a
-//     channel send, a package-variable store — must freeze it first
-//     with Detach/DetachState/DetachAll. Handing the value back to the
-//     caller (return, or writing through a caller-provided slice
-//     parameter) is not retention: the obligation transfers.
-//
-// Both checks are flow-insensitive and per-function: they ask "does a
-// release/detach exist in this function at all", not "on every path" —
-// cheap, zero false negatives for the deletion failure mode the
-// contract-rot tests seed, and precise enough to run clean on the
-// real tree.
+// The check is flow-insensitive and per-function: it asks "does a
+// release exist in this function at all", not "on every path" — cheap,
+// zero false negatives for the failure mode that matters (a deleted
+// Release), and precise enough to run clean on the real tree.
 //
 // A reviewed exception is waived with //eba:arena-ok on the exact
 // reported line; unused waivers are themselves diagnosed as stale.
 package arenasafety
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -45,9 +31,8 @@ import (
 // Analyzer is the arenasafety analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "arenasafety",
-	Doc: "enforce arena acquire/release pairing and detach-before-retention " +
-		"for arena-backed values (graph.AcquireRef/Release, " +
-		"BufferedExchange.AcquireScratch/ReleaseScratch, Detach/DetachState/DetachAll; " +
+	Doc: "enforce acquire/release pairing for pooled graph analyzers " +
+		"(graph.AcquireRef/AcquireRefNoCK with Ref.Release; " +
 		"suppress a reviewed line with //eba:arena-ok)",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      run,
@@ -66,62 +51,32 @@ func (r reporter) reportf(pos token.Pos, format string, args ...interface{}) {
 	r.pass.Reportf(pos, format, args...)
 }
 
-// producerPkgs are the packages whose path suffix marks the arena
-// layer itself: the detach-before-retention rule does not apply inside
-// them, because producing and juggling attached values is their job —
-// their contract surface is checked by the exchange conformance tests.
-var producerPkgs = []string{"internal/graph", "internal/exchange", "internal/model"}
-
 func run(pass *analysis.Pass) (interface{}, error) {
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	rep := reporter{pass: pass, sup: suppress.Collect(pass, "arena")}
-
-	inProducerPkg := false
-	for _, s := range producerPkgs {
-		if ebautil.PathHasSuffix(pass.Pkg.Path(), s) {
-			inProducerPkg = true
-			break
-		}
-	}
-
 	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
-		fd := n.(*ast.FuncDecl)
-		if fd.Body == nil {
-			return
-		}
-		checkPairing(rep, fd)
-		if !inProducerPkg {
-			checkDetach(rep, fd)
+		if fd := n.(*ast.FuncDecl); fd.Body != nil {
+			checkPairing(rep, fd)
 		}
 	})
 	rep.sup.ReportStale(pass)
 	return nil, nil
 }
 
-// --- rule 1: acquire/release pairing --------------------------------------
-
 func isAcquireRef(info *types.Info, call *ast.CallExpr) bool {
 	return ebautil.IsPkgFunc(info, call, "internal/graph", "AcquireRef") ||
 		ebautil.IsPkgFunc(info, call, "internal/graph", "AcquireRefNoCK")
-}
-
-func isAcquireScratch(info *types.Info, call *ast.CallExpr) bool {
-	return ebautil.IsMethod(info, call, "AcquireScratch", "internal/model", "internal/exchange", "internal/engine")
 }
 
 func isReleaseRef(info *types.Info, call *ast.CallExpr) bool {
 	return ebautil.IsMethod(info, call, "Release", "internal/graph")
 }
 
-func isReleaseScratch(info *types.Info, call *ast.CallExpr) bool {
-	return ebautil.IsMethod(info, call, "ReleaseScratch", "internal/model", "internal/exchange", "internal/engine")
-}
-
 // acquireSite is one acquire call and the variable (if any) its result
 // was bound to.
 type acquireSite struct {
 	call *ast.CallExpr
-	name string // AcquireRef / AcquireRefNoCK / AcquireScratch
+	name string // AcquireRef / AcquireRefNoCK
 	v    *types.Var
 }
 
@@ -136,7 +91,7 @@ func checkPairing(rep reporter, fd *ast.FuncDecl) {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			if len(n.Rhs) == 1 {
-				if call, ok := ast.Unparen(n.Rhs[0]).(*ast.CallExpr); ok && (isAcquireRef(info, call) || isAcquireScratch(info, call)) {
+				if call, ok := ast.Unparen(n.Rhs[0]).(*ast.CallExpr); ok && isAcquireRef(info, call) {
 					if len(n.Lhs) == 1 {
 						if id, ok := ast.Unparen(n.Lhs[0]).(*ast.Ident); ok {
 							if id.Name == "_" {
@@ -148,14 +103,14 @@ func checkPairing(rep reporter, fd *ast.FuncDecl) {
 						}
 						// Bound straight into a field, index, or deref:
 						// ownership moved into the structure. The holder
-						// releases it later (engine.Buffers does).
+						// releases it later.
 					}
 					return true
 				}
 			}
 		case *ast.ValueSpec:
 			if len(n.Values) == 1 {
-				if call, ok := ast.Unparen(n.Values[0]).(*ast.CallExpr); ok && (isAcquireRef(info, call) || isAcquireScratch(info, call)) {
+				if call, ok := ast.Unparen(n.Values[0]).(*ast.CallExpr); ok && isAcquireRef(info, call) {
 					var v *types.Var
 					if len(n.Names) == 1 && n.Names[0].Name != "_" {
 						v, _ = info.Defs[n.Names[0]].(*types.Var)
@@ -172,17 +127,7 @@ func checkPairing(rep reporter, fd *ast.FuncDecl) {
 				} else {
 					releaseAny = true
 				}
-			case isReleaseScratch(info, n):
-				if len(n.Args) == 1 {
-					if v := ebautil.UsedVar(info, n.Args[0]); v != nil {
-						releasedVars[v] = true
-					} else {
-						releaseAny = true
-					}
-				} else {
-					releaseAny = true
-				}
-			case isAcquireRef(info, n) || isAcquireScratch(info, n):
+			case isAcquireRef(info, n):
 				// An acquire whose result is consumed inline:
 				// AcquireRef(...).Release() chains count as released via
 				// the receiver walk below; a bare statement leaks.
@@ -208,16 +153,9 @@ func checkPairing(rep reporter, fd *ast.FuncDecl) {
 		if escapes(info, fd.Body, a.v, a.call) {
 			continue // ownership handed off; the pairing obligation moved
 		}
-		rep.reportf(a.call.Pos(), "%s is acquired into %q but neither released nor handed off in %s: pair it with %s",
-			a.name, a.v.Name(), fd.Name.Name, releaseName(a.name))
+		rep.reportf(a.call.Pos(), "%s is acquired into %q but neither released nor handed off in %s: pair it with Release",
+			a.name, a.v.Name(), fd.Name.Name)
 	}
-}
-
-func releaseName(acquire string) string {
-	if acquire == "AcquireScratch" {
-		return "ReleaseScratch"
-	}
-	return "Release"
 }
 
 // partOfBinding reports whether call is the RHS of an assignment or
@@ -280,7 +218,7 @@ func escapes(info *types.Info, body *ast.BlockStmt, v *types.Var, acquire *ast.C
 				}
 			}
 		case *ast.CallExpr:
-			if n == acquire || isReleaseRef(info, n) || isReleaseScratch(info, n) {
+			if n == acquire || isReleaseRef(info, n) {
 				return true
 			}
 			for _, a := range n.Args {
@@ -322,118 +260,4 @@ func escapes(info *types.Info, body *ast.BlockStmt, v *types.Var, acquire *ast.C
 		return !esc
 	})
 	return esc
-}
-
-// --- rule 2: detach before retention --------------------------------------
-
-func isProducer(info *types.Info, call *ast.CallExpr) bool {
-	return ebautil.IsMethod(info, call, "CloneExtendedIn", "internal/graph") ||
-		ebautil.IsMethod(info, call, "New", "internal/graph") ||
-		ebautil.IsMethod(info, call, "UpdateScratch", "internal/model", "internal/exchange") ||
-		ebautil.IsPkgFunc(info, call, "internal/engine", "StepInto")
-}
-
-func isDetachCall(info *types.Info, call *ast.CallExpr) bool {
-	return ebautil.IsMethod(info, call, "Detach", "internal/graph") ||
-		ebautil.IsMethod(info, call, "DetachState", "internal/model", "internal/exchange") ||
-		ebautil.IsPkgFunc(info, call, "internal/model", "DetachAll")
-}
-
-func checkDetach(rep reporter, fd *ast.FuncDecl) {
-	info := rep.pass.TypesInfo
-
-	// Collect producer-bound variables and whether any detach happens.
-	vars := map[*types.Var]*ast.CallExpr{}
-	detaches := false
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			if len(n.Rhs) == 1 && len(n.Lhs) >= 1 {
-				if call, ok := ast.Unparen(n.Rhs[0]).(*ast.CallExpr); ok && isProducer(info, call) {
-					if v := ebautil.UsedVar(info, n.Lhs[0]); v != nil {
-						vars[v] = call
-					}
-				}
-			}
-		case *ast.CallExpr:
-			if isDetachCall(info, n) {
-				detaches = true
-			}
-		}
-		return true
-	})
-	if detaches {
-		// Flow-insensitive forgiveness: the function knows about the
-		// contract; deleting its Detach* call re-arms every report below.
-		return
-	}
-
-	report := func(pos ast.Node, v *types.Var, how string) {
-		rep.reportf(pos.Pos(), "arena-backed value %q (from %s) %s without Detach/DetachState/DetachAll: it references scratch memory the next run recycles",
-			v.Name(), producerName(info, vars[v]), how)
-	}
-
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for i, lhs := range n.Lhs {
-				rhs := n.Rhs[min(i, len(n.Rhs)-1)]
-				v := retainedVar(info, vars, rhs)
-				if v == nil {
-					continue
-				}
-				switch l := ast.Unparen(lhs).(type) {
-				case *ast.SelectorExpr:
-					report(n, v, "is stored into a struct field")
-				case *ast.IndexExpr:
-					if t := info.TypeOf(l.X); t != nil {
-						switch t.Underlying().(type) {
-						case *types.Map:
-							report(n, v, "is interned into a map")
-						}
-						// Writes through slices are caller-provided
-						// hand-off surfaces (engine.StepInto's next):
-						// the obligation transfers with the slice.
-					}
-				case *ast.Ident:
-					if vv, ok := info.Uses[l].(*types.Var); ok && vv.Pkg() != nil && vv.Parent() == vv.Pkg().Scope() {
-						report(n, v, "is stored into a package variable")
-					}
-				}
-			}
-		case *ast.SendStmt:
-			for v := range vars {
-				if ebautil.Mentions(info, n.Value, v) {
-					report(n, v, "is sent on a channel")
-				}
-			}
-		}
-		return true
-	})
-}
-
-func retainedVar(info *types.Info, vars map[*types.Var]*ast.CallExpr, rhs ast.Expr) *types.Var {
-	for v := range vars {
-		if ebautil.Mentions(info, rhs, v) {
-			return v
-		}
-	}
-	return nil
-}
-
-func producerName(info *types.Info, call *ast.CallExpr) string {
-	if call == nil {
-		return "an arena producer"
-	}
-	if fn := ebautil.FuncObj(info, call); fn != nil {
-		return fmt.Sprintf("%s", fn.Name())
-	}
-	return "an arena producer"
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

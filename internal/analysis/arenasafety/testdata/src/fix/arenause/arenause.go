@@ -1,18 +1,6 @@
 package arenause
 
-import (
-	"fix/internal/graph"
-	"fix/internal/model"
-)
-
-type holder struct {
-	ext *graph.Ext
-	st  *model.State
-}
-
-var global *graph.Ext
-
-// --- rule 1: acquire/release pairing --------------------------------------
+import "fix/internal/graph"
 
 func leakRef(g *graph.Graph) {
 	r := graph.AcquireRef(g) // want `AcquireRef is acquired into "r" but neither released nor handed off in leakRef: pair it with Release`
@@ -25,11 +13,6 @@ func discardRef(g *graph.Graph) {
 
 func bareAcquire(g *graph.Graph) {
 	graph.AcquireRef(g) // want `result of AcquireRef is neither bound nor released: the pooled value leaks`
-}
-
-func leakScratch(x *model.Exchange) {
-	s := x.AcquireScratch() // want `AcquireScratch is acquired into "s" but neither released nor handed off in leakScratch: pair it with ReleaseScratch`
-	_ = s.Len()
 }
 
 func pairedRef(g *graph.Graph) int {
@@ -47,11 +30,6 @@ func handedOff(g *graph.Graph) *graph.Ref {
 	return r
 }
 
-func pairedScratch(x *model.Exchange) {
-	s := x.AcquireScratch()
-	x.ReleaseScratch(s)
-}
-
 func suppressedLeak(g *graph.Graph) {
 	r := graph.AcquireRef(g) //eba:arena-ok: the test harness tears the pool down wholesale
 	_ = r.OwnerAction()
@@ -60,46 +38,4 @@ func suppressedLeak(g *graph.Graph) {
 func stalePairing(g *graph.Graph) {
 	r := graph.AcquireRef(g)
 	r.Release() //eba:arena-ok // want `stale //eba:arena-ok suppression: no diagnostic on this line to suppress`
-}
-
-// --- rule 2: detach before retention --------------------------------------
-
-func retainField(h *holder, g *graph.Graph, a *graph.Arena) {
-	e := g.CloneExtendedIn(a)
-	h.ext = e // want `arena-backed value "e" \(from CloneExtendedIn\) is stored into a struct field without Detach/DetachState/DetachAll`
-}
-
-func internMap(g *graph.Graph, a *graph.Arena, m map[string]*graph.Ext) {
-	e := g.CloneExtendedIn(a)
-	m["k"] = e // want `arena-backed value "e" \(from CloneExtendedIn\) is interned into a map without Detach/DetachState/DetachAll`
-}
-
-func stashGlobal(a *graph.Arena) {
-	e := a.New()
-	global = e // want `arena-backed value "e" \(from New\) is stored into a package variable without Detach/DetachState/DetachAll`
-}
-
-func sendState(x *model.Exchange, ch chan *model.State) {
-	s := x.UpdateScratch()
-	ch <- s // want `arena-backed value "s" \(from UpdateScratch\) is sent on a channel without Detach/DetachState/DetachAll`
-}
-
-func retainDetached(h *holder, g *graph.Graph, a *graph.Arena) {
-	e := g.CloneExtendedIn(a)
-	h.ext = e.Detach()
-}
-
-func retainDetachedState(h *holder, x *model.Exchange) {
-	s := x.UpdateScratch()
-	h.st = s.DetachState()
-}
-
-func handBack(g *graph.Graph, a *graph.Arena, out []*graph.Ext) {
-	e := g.CloneExtendedIn(a)
-	out[0] = e
-}
-
-func suppressedRetain(h *holder, g *graph.Graph, a *graph.Arena) {
-	e := g.CloneExtendedIn(a)
-	h.ext = e //eba:arena-ok: h is recycled in the same epoch as the arena
 }

@@ -7,10 +7,6 @@ type Graph struct{}
 
 type Ref struct{}
 
-type Ext struct{}
-
-type Arena struct{}
-
 func AcquireRef(g *Graph) *Ref { return &Ref{} }
 
 func AcquireRefNoCK(g *Graph) *Ref { return &Ref{} }
@@ -18,9 +14,3 @@ func AcquireRefNoCK(g *Graph) *Ref { return &Ref{} }
 func (r *Ref) Release() {}
 
 func (r *Ref) OwnerAction() int { return 0 }
-
-func (g *Graph) CloneExtendedIn(a *Arena) *Ext { return &Ext{} }
-
-func (a *Arena) New() *Ext { return &Ext{} }
-
-func (e *Ext) Detach() *Ext { return e }

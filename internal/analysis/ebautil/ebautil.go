@@ -114,18 +114,6 @@ func IsContextType(t types.Type) bool {
 	return obj.Name() == "Context" && obj.Pkg() != nil && obj.Pkg().Path() == "context"
 }
 
-// Mentions reports whether v is referenced anywhere under n.
-func Mentions(info *types.Info, n ast.Node, v *types.Var) bool {
-	found := false
-	ast.Inspect(n, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && info.Uses[id] == v {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
 // MentionsValue reports whether v is used under n as a value — i.e.
 // anywhere except as the receiver of a method call (r.M(...) uses r's
 // methods, it does not pass r along).

@@ -24,7 +24,7 @@ import (
 // Contracts maps each analyzer name to the one-line contract it
 // enforces, as printed by `ebavet -list`.
 var Contracts = map[string]string{
-	"arenasafety": "acquired arena values are released or handed off; arena-backed values are detached before retention",
+	"arenasafety": "pooled graph.Ref analyzers from AcquireRef/AcquireRefNoCK are released or handed off",
 	"determinism": "no map-iteration order or ambient time/rand reaches the digest-to-merge pipeline (//eba:nondeterministic-ok to waive a line)",
 	"ctxcause":    "packages establishing WithCancelCause surface context.Cause, never a bare ctx.Err(), and cancel on all paths",
 	"errtaxonomy": "sentinel errors are wrapped with %w and matched with errors.Is; exit-code mappers keep their errors.Is guards",

@@ -1,10 +1,12 @@
 package cache
 
 import (
+	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -12,6 +14,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func openT(t *testing.T, dir string) *Cache {
@@ -377,6 +380,51 @@ func TestServerRejectsBadDigestAndPath(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Fatalf("GET %s: %s, want 404", p, resp.Status)
 		}
+	}
+}
+
+// An upload declaring more than maxValLen bytes is refused with 413 from
+// its headers alone: the request below sends no body at all, so a server
+// that tried to read one would stall until the deadline. The same server
+// then still accepts a valid PUT.
+func TestServerRefusesOversizedPutBeforeReading(t *testing.T) {
+	backing := openT(t, t.TempDir())
+	defer closeT(t, backing)
+	srv := httptest.NewServer(NewServer(backing))
+	defer srv.Close()
+
+	key := testKey(4)
+	conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	fmt.Fprintf(conn, "PUT %s%s HTTP/1.1\r\nHost: cache\r\nContent-Length: %d\r\n%s: %s\r\n\r\n",
+		entryPrefix, key, maxValLen+1, DigestHeader, strings.Repeat("00", 32))
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("reading the response to an oversized PUT: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized PUT: %s, want 413", resp.Status)
+	}
+
+	val := []byte("fits")
+	sum := recordSum(key, val)
+	req, _ := http.NewRequest(http.MethodPut, srv.URL+entryPrefix+key, bytes.NewReader(val))
+	req.Header.Set(DigestHeader, hex.EncodeToString(sum[:]))
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("valid PUT after an oversized one: %s, want 204", resp.Status)
+	}
+	if got, ok := backing.Get(key); !ok || string(got) != "fits" {
+		t.Fatalf("stored value %q %v", got, ok)
 	}
 }
 

@@ -10,6 +10,7 @@ package cache
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -101,8 +102,21 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/octet-stream")
 		w.Write(val)
 	case http.MethodPut:
+		// An over-limit upload is refused with 413: up front when its
+		// declared length says so, before any of the body is read, and
+		// otherwise when the read crosses the limit.
+		tooLarge := fmt.Sprintf("payload exceeds %d bytes", maxValLen)
+		if r.ContentLength > maxValLen {
+			http.Error(w, tooLarge, http.StatusRequestEntityTooLarge)
+			return
+		}
 		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxValLen))
-		if err != nil {
+		var maxErr *http.MaxBytesError
+		switch {
+		case errors.As(err, &maxErr):
+			http.Error(w, tooLarge, http.StatusRequestEntityTooLarge)
+			return
+		case err != nil:
 			http.Error(w, fmt.Sprintf("reading payload: %v", err), http.StatusBadRequest)
 			return
 		}

@@ -111,8 +111,7 @@ type CachedRun struct {
 
 // NewCachedRun encodes a completed run. withStates selects the episteme
 // form: the canonical key of every state in the trace, slot-major
-// (slot = m*n + i). State keys are fresh strings (model.State.Key
-// allocates), so the payload never aliases arena memory.
+// (slot = m*n + i).
 func NewCachedRun(res *engine.Result, withStates bool) (*CachedRun, error) {
 	led, err := NewRunLedger(res)
 	if err != nil {

@@ -4,11 +4,11 @@
 // order-preserving parallel batch (RunBatch), or as a stream of outcomes
 // (Stream over slices, StreamFrom/RunSource over lazy Sources — see
 // stream.go). Batches fan out over a worker pool of WithParallelism(k)
-// workers; each worker owns its own arena-backed engine.Buffers when
-// WithBufferReuse is on, so the batch hot path allocates O(1) per round
-// — including the exchanges' own allocations. Because
-// every run is deterministic, parallel batches are bit-for-bit identical
-// to sequential ones — a property the tests enforce.
+// workers; each worker owns its own engine.Buffers when WithBufferReuse
+// is on, so the engine's per-round matrices are allocated once per
+// worker rather than once per round. Because every run is deterministic,
+// parallel batches are bit-for-bit identical to sequential ones — a
+// property the tests enforce.
 
 package core
 
@@ -62,14 +62,12 @@ func WithSpecCheck(opts spec.Options) RunnerOption {
 	return func(r *Runner) { r.specOpts = &opts }
 }
 
-// WithBufferReuse gives every batch worker a private arena-backed
-// engine.Buffers reused across its runs: the engine's per-round matrices
-// are recycled, and exchanges that implement model.BufferedExchange
-// additionally draw their own per-round allocations (Efip's graph
-// clones) from the worker's arena. Everything reachable from a returned
-// Result is detached from the arena, so results outlive the workers
-// safely; traces are bit-identical with or without reuse. This applies
-// to Run, RunBatch, Stream, StreamFrom, and RunSource alike.
+// WithBufferReuse gives every batch worker a private engine.Buffers
+// reused across its runs: the engine's per-round message matrices and
+// rolling state slices are recycled. A returned Result never aliases the
+// buffers, so results outlive the workers safely; traces are
+// bit-identical with or without reuse. This applies to Run, RunBatch,
+// Stream, StreamFrom, and RunSource alike.
 func WithBufferReuse() RunnerOption {
 	return func(r *Runner) { r.bufferReuse = true }
 }
@@ -141,7 +139,7 @@ func (e *SpecError) Error() string {
 func (r *Runner) Run(ctx context.Context, sc Scenario) (*engine.Result, error) {
 	var buf *engine.Buffers
 	if r.bufferReuse {
-		buf = engine.NewArenaBuffers()
+		buf = engine.NewBuffers()
 	}
 	out := r.runOne(ctx, 0, sc, buf)
 	if out.Err != nil {

@@ -165,7 +165,7 @@ func (r *Runner) StreamFrom(ctx context.Context, src Source, opts ...StreamOptio
 				defer wg.Done()
 				var buf *engine.Buffers
 				if r.bufferReuse {
-					buf = engine.NewArenaBuffers()
+					buf = engine.NewBuffers()
 				}
 				for jb := range jobs {
 					select {

@@ -45,8 +45,8 @@ func runSignature(res *Result) string {
 	return b.String()
 }
 
-// arenaScenarios builds a deterministic mixed scenario list.
-func arenaScenarios(n, tf, count int, seed int64) []Config {
+// mixedScenarios builds a deterministic mixed scenario list.
+func mixedScenarios(n, tf, count int, seed int64) []Config {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]Config, count)
 	for k := range out {
@@ -90,13 +90,12 @@ func scribbleState(st model.State) int {
 	return count
 }
 
-// TestArenaTraceIdentityAllStacks checks the non-negotiable invariant of
-// the arena refactor: for every registered stack, the fresh-allocation
-// path, the plain buffered path, and the arena-backed buffered path
-// produce bit-identical traces, run after run over shared buffers. The
-// buffered runs go through the Executor interface, the path the core
-// Runner and the executors standing in for the engine use.
-func TestArenaTraceIdentityAllStacks(t *testing.T) {
+// TestBufferedTraceIdentityAllStacks checks that for every registered
+// stack the fresh-allocation path and the buffered path produce
+// bit-identical traces, run after run over shared buffers. The buffered
+// runs go through the Executor interface, the path the core Runner and
+// the executors standing in for the engine use.
+func TestBufferedTraceIdentityAllStacks(t *testing.T) {
 	n, tf := 5, 2
 	for _, name := range registry.StackNames() {
 		info, err := registry.Stack(name)
@@ -108,38 +107,32 @@ func TestArenaTraceIdentityAllStacks(t *testing.T) {
 			t.Fatal(err)
 		}
 		var x Executor = Sequential{}
-		plain, arena := NewBuffers(), NewArenaBuffers()
-		for k, cfg := range arenaScenarios(n, tf, 12, 41) {
+		buf := NewBuffers()
+		for k, cfg := range mixedScenarios(n, tf, 12, 41) {
 			cfg.Exchange, cfg.Action = ex, act
 			fresh, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := runSignature(fresh)
-			bres, err := x.Execute(cfg, plain)
+			bres, err := x.Execute(cfg, buf)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := runSignature(bres); got != want {
-				t.Fatalf("%s scenario %d: plain buffered trace diverged", name, k)
-			}
-			ares, err := x.Execute(cfg, arena)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := runSignature(ares); got != want {
-				t.Fatalf("%s scenario %d: arena-backed trace diverged", name, k)
+				t.Fatalf("%s scenario %d: buffered trace diverged", name, k)
 			}
 		}
 	}
 }
 
-// TestArenaResultsOwnTheirMemory is the aliasing property test: after an
-// arena-backed run, every returned Result owns its memory outright. It
-// mutates everything reachable from the returned results, re-runs the
-// same scenarios over the same buffers, and requires (a) the fresh
-// results to be pristine and (b) the mutations to survive — either
-// failing means recycled scratch was shared with a live Result.
+// TestArenaResultsOwnTheirMemory is the aliasing property test of the
+// Buffers rule: after a buffered run, every returned Result owns its
+// memory outright. It mutates everything reachable from the returned
+// results, re-runs the same scenarios over the same buffers, and
+// requires (a) the fresh results to be pristine and (b) the mutations to
+// survive — either failing means reused buffers were shared with a live
+// Result.
 func TestArenaResultsOwnTheirMemory(t *testing.T) {
 	n, tf := 4, 1
 	for _, name := range []string{"fip", "fip+pmin", "fip-nock", "min", "basic"} {
@@ -151,8 +144,8 @@ func TestArenaResultsOwnTheirMemory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scenarios := arenaScenarios(n, tf, 16, 97)
-		buf := NewArenaBuffers()
+		scenarios := mixedScenarios(n, tf, 16, 97)
+		buf := NewBuffers()
 
 		reference := make([]string, len(scenarios))
 		results := make([]*Result, len(scenarios))
@@ -167,7 +160,7 @@ func TestArenaResultsOwnTheirMemory(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got := runSignature(results[k]); got != reference[k] {
-				t.Fatalf("%s scenario %d: arena run diverged before mutation", name, k)
+				t.Fatalf("%s scenario %d: buffered run diverged before mutation", name, k)
 			}
 		}
 
@@ -196,7 +189,7 @@ func TestArenaResultsOwnTheirMemory(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got := runSignature(res); got != reference[k] {
-				t.Fatalf("%s scenario %d: re-run over scribbled buffers diverged — scratch aliased a returned Result", name, k)
+				t.Fatalf("%s scenario %d: re-run over scribbled buffers diverged — buffers aliased a returned Result", name, k)
 			}
 		}
 		// And the mutations must have survived the re-runs untouched.
@@ -204,66 +197,6 @@ func TestArenaResultsOwnTheirMemory(t *testing.T) {
 			if got := runSignature(res); got != mutated[k] {
 				t.Fatalf("%s scenario %d: re-run scribbled over a returned Result's memory", name, k)
 			}
-		}
-	}
-}
-
-// TestArenaClonesAreIndependent covers Clone, CloneFor, CloneExtended,
-// and Detach on graphs that came out of an arena-backed run: clones must
-// never share backing memory with their source.
-func TestArenaClonesAreIndependent(t *testing.T) {
-	n, tf := 4, 1
-	info, err := registry.Stack("fip")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex, act, err := registry.Compose(info.Exchange, info.Action, n, tf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := arenaScenarios(n, tf, 1, 7)[0]
-	cfg.Exchange, cfg.Action = ex, act
-	buf := NewArenaBuffers()
-	res, err := RunBuffered(cfg, buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := res.States[tf+1][0].(*exchange.FIPState).Graph()
-	key := g.Key()
-	if g.Detach() != g {
-		t.Fatal("Detach must return the receiver")
-	}
-
-	clones := []*graph.Graph{g.Clone(), g.CloneFor(1), g.CloneExtended()}
-	cloneKeys := []string{clones[0].Key(), clones[1].Key(), clones[2].Key()}
-	// Scribbling the source must not reach any clone.
-	for k := 0; k < g.M(); k++ {
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if g.Edge(k, model.AgentID(i), model.AgentID(j)) == graph.Unknown {
-					g.SetEdge(k, model.AgentID(i), model.AgentID(j), graph.NotSent)
-				}
-			}
-		}
-	}
-	if g.Key() == key {
-		t.Fatal("scribbling changed nothing — test is vacuous")
-	}
-	for c, cl := range clones {
-		if cl.Key() != cloneKeys[c] {
-			t.Fatalf("clone %d shares memory with its scribbled source", c)
-		}
-	}
-	// And scribbling a clone must not reach the (re-keyed) source.
-	key = g.Key()
-	for c, cl := range clones {
-		for j := 0; j < n; j++ {
-			if !cl.Pref(model.AgentID(j)).IsSet() {
-				cl.SetPref(model.AgentID(j), model.Zero)
-			}
-		}
-		if g.Key() != key {
-			t.Fatalf("scribbling clone %d reached the source", c)
 		}
 	}
 }

@@ -204,9 +204,8 @@ func (e *memoExec) Execute(cfg engine.Config, buf *engine.Buffers) (*engine.Resu
 		return nil, fmt.Errorf("engine: negative horizon %d", horizon)
 	}
 	if buf != nil {
-		// Bind the worker's buffers (and, with arena-backed buffers, the
-		// exchange scratch) to this run; fresh transitions are computed
-		// through the buffered step and detached before interning.
+		// Bind the worker's buffers to this run; fresh transitions are
+		// computed through the buffered step.
 		buf.BeginRun(ex)
 	}
 
@@ -250,10 +249,6 @@ func (e *memoExec) Execute(cfg engine.Config, buf *engine.Buffers) (*engine.Resu
 			if err != nil {
 				return nil, err
 			}
-			// The row is interned and aliased by every run that hits the
-			// entry — including runs on other workers after this worker's
-			// arena has been recycled. Freeze it first.
-			model.DetachAll(next)
 			val = stepVal{next: next, stats: stats}
 			e.mu.Lock()
 			if prev, again := e.steps[key]; again {

@@ -9,7 +9,7 @@ var (
 	_ model.Exchange = (*Report)(nil)
 	_ model.Exchange = (*FIP)(nil)
 
-	// Every built-in exchange opts into the zero-allocation path.
+	// Every built-in exchange broadcasts into caller-owned buffers.
 	_ model.BufferedExchange = (*Min)(nil)
 	_ model.BufferedExchange = (*Basic)(nil)
 	_ model.BufferedExchange = (*Report)(nil)
@@ -19,10 +19,6 @@ var (
 	_ model.State = BasicState{}
 	_ model.State = ReportState{}
 	_ model.State = (*FIPState)(nil)
-
-	// FIPState references arena memory on the buffered path and knows
-	// how to freeze itself for retention.
-	_ model.Detacher = (*FIPState)(nil)
 
 	// The full-information exchange's keys embed agent identities, so it
 	// opts into the symmetry rewrite the quotiented model checker needs.

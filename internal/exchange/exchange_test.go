@@ -302,23 +302,16 @@ func TestFIPKeyExcludesDecided(t *testing.T) {
 
 // TestBufferedPathMatchesPlain drives every built-in exchange through a
 // few rounds and checks the model.BufferedExchange contract: stale
-// entries in the MessagesInto target are overwritten, the produced
-// messages equal Messages', and UpdateScratch (nil and real scratch
-// alike) produces states with the same fingerprint as Update.
+// entries in the MessagesInto target are overwritten and the produced
+// messages equal Messages'.
 func TestBufferedPathMatchesPlain(t *testing.T) {
 	exchanges := []model.BufferedExchange{NewMin(3), NewBasic(3), NewReport(3), NewFIP(3)}
 	inits := []model.Value{model.One, model.Zero, model.One}
 	acts := []model.Action{model.Noop, model.Decide0, model.Decide1}
 	for _, ex := range exchanges {
-		sc := ex.AcquireScratch()
-		if sc != nil {
-			sc.Reset()
-		}
 		states := make([]model.State, 3)
-		scStates := make([]model.State, 3)
 		for i := range states {
 			states[i] = ex.Initial(model.AgentID(i), inits[i])
-			scStates[i] = states[i]
 		}
 		out := make([]model.Message, 3)
 		for i := range out {
@@ -342,23 +335,15 @@ func TestBufferedPathMatchesPlain(t *testing.T) {
 				}
 			}
 			next := make([]model.State, 3)
-			scNext := make([]model.State, 3)
 			for i := range states {
 				a := acts[(i+round)%len(acts)]
 				recv := make([]model.Message, 3)
 				for j := range recv {
 					recv[j] = outboxes[j][i]
 				}
-				plain := ex.Update(model.AgentID(i), states[i], a, recv)
-				viaNil := ex.UpdateScratch(model.AgentID(i), states[i], a, recv, nil)
-				viaScratch := ex.UpdateScratch(model.AgentID(i), scStates[i], a, recv, sc)
-				if plain.Key() != viaNil.Key() || plain.Key() != viaScratch.Key() {
-					t.Fatalf("%s round %d agent %d: Update/UpdateScratch fingerprints diverge", ex.Name(), round, i)
-				}
-				next[i], scNext[i] = plain, viaScratch
+				next[i] = ex.Update(model.AgentID(i), states[i], a, recv)
 			}
-			states, scStates = next, scNext
+			states = next
 		}
-		ex.ReleaseScratch(sc)
 	}
 }

@@ -1,8 +1,6 @@
 package exchange
 
 import (
-	"sync"
-
 	"repro/internal/graph"
 	"repro/internal/model"
 )
@@ -43,9 +41,7 @@ func (m FIPMsg) String() string {
 //
 // States are handled by pointer: boxing a *FIPState into model.State
 // copies one word instead of heap-allocating a 40-byte box per agent per
-// round, and the buffered path bump-allocates the structs from the same
-// scratch epoch as the graphs they reference. Callers must treat the
-// pointed-to state as immutable.
+// round. Callers must treat the pointed-to state as immutable.
 type FIPState struct {
 	time    int
 	init    model.Value
@@ -72,14 +68,6 @@ func (s *FIPState) Graph() *graph.Graph { return s.g }
 
 // Key is the graph's fingerprint: full information, nothing else.
 func (s *FIPState) Key() string { return s.g.Key() }
-
-// DetachState freezes the state for unbounded retention: if its graph is
-// arena-backed the arena is pinned (graph.Graph.Detach), so no scratch
-// Reset will ever recycle the memory under a live trace or interned
-// state row. Pinning the arena also pins the scratch's state slab — the
-// struct s points to shares the epoch (see fipScratch.Reset). On
-// plain-heap states it is a no-op.
-func (s *FIPState) DetachState() { s.g.Detach() }
 
 // FIP is the full-information exchange Efip(n) of Section A.2.7.
 type FIP struct {
@@ -134,113 +122,14 @@ func (e *FIP) PermuteKey(key string, perm []model.AgentID) (string, error) {
 	return graph.PermuteKey(key, perm)
 }
 
-// fipStateSlab bump-allocates FIPState structs in per-run epochs, with
-// the same rewind-or-abandon discipline as graph.Arena's slabs: Reset
-// reuses the chunk in place unless a state escaped the epoch, in which
-// case the chunk is left to the garbage collector (the escaping states
-// keep it alive) and a fresh one is carved, sized to the high-water mark.
-type fipStateSlab struct {
-	cur  []FIPState
-	used int
-	hint int
-}
-
-// fipStateSlabMin is the floor chunk size; kept small because an escaped
-// epoch pins its whole chunk (see the graph.Arena granularity note).
-const fipStateSlabMin = 16
-
-// alloc carves one state struct. Contents are stale after a rewind;
-// callers fully overwrite the struct.
-func (s *fipStateSlab) alloc() *FIPState {
-	if len(s.cur) == cap(s.cur) {
-		size := s.hint
-		if d := 2 * s.used; d > size {
-			size = d
-		}
-		if size < fipStateSlabMin {
-			size = fipStateSlabMin
-		}
-		s.cur = make([]FIPState, 0, size)
-	}
-	s.cur = s.cur[:len(s.cur)+1]
-	s.used++
-	return &s.cur[len(s.cur)-1]
-}
-
-// reset closes the epoch, folding usage into the high-water hint exactly
-// like slab.reset in the graph arena.
-func (s *fipStateSlab) reset(abandon bool) {
-	if s.used > s.hint {
-		s.hint = s.used
-	} else {
-		s.hint -= (s.hint - s.used) / 4
-	}
-	s.used = 0
-	if abandon {
-		s.cur = nil
-		return
-	}
-	s.cur = s.cur[:0]
-}
-
-// fipScratch is the per-worker scratch of the buffered full-information
-// exchange: the arena the per-round graph clones are bump-allocated in,
-// plus the slab the state structs themselves come from.
-type fipScratch struct {
-	arena  *graph.Arena
-	states fipStateSlab
-}
-
-// Reset recycles the scratch. A state escapes the epoch exactly when its
-// graph does (DetachState pins the graph arena, and every slab state
-// references an arena graph), so the arena's escape flag — read before
-// Reset clears it — also decides whether the state slab is abandoned.
-func (s *fipScratch) Reset() {
-	s.states.reset(s.arena.Escaped())
-	s.arena.Reset()
-}
-
-// fipScratchPool recycles scratch across acquire/release cycles; the
-// arenas and state slabs inside keep their memory only when no state
-// escaped, so pooling never aliases retained memory.
-var fipScratchPool = sync.Pool{
-	New: func() any { return &fipScratch{arena: graph.NewArena()} },
-}
-
-// AcquireScratch returns an arena-backed scratch for one worker.
-func (e *FIP) AcquireScratch() model.Scratch { return fipScratchPool.Get().(*fipScratch) }
-
-// ReleaseScratch returns the scratch to the pool.
-func (e *FIP) ReleaseScratch(sc model.Scratch) {
-	if fs, ok := sc.(*fipScratch); ok && fs != nil {
-		fipScratchPool.Put(fs)
-	}
-}
-
 // Update advances time, extends the graph by one round, records which
 // agents delivered this round (Sent/NotSent labels on the new in-edges),
 // merges every received graph, and refreshes the cached decided/jd
 // components. The agent's own in-edge is always Sent: self-delivery is
 // memory and is not subject to the adversary (footnote 3 of the paper).
 func (e *FIP) Update(i model.AgentID, s model.State, a model.Action, received []model.Message) model.State {
-	return e.UpdateScratch(i, s, a, received, nil)
-}
-
-// UpdateScratch is Update with the per-round graph and the state struct
-// built in the scratch (merge-in-place, as always): the zero-allocation
-// δ of the buffered path. With a nil scratch it is exactly Update. The
-// produced state references scratch memory and must be Detach-ed before
-// it outlives the next Scratch.Reset; the engine does this for
-// everything reachable from a returned Result.
-func (e *FIP) UpdateScratch(i model.AgentID, s model.State, a model.Action, received []model.Message, sc model.Scratch) model.State {
 	st := s.(*FIPState)
-	fs, _ := sc.(*fipScratch)
-	var ng *graph.Graph
-	if fs != nil {
-		ng = st.g.CloneExtendedIn(fs.arena)
-	} else {
-		ng = st.g.CloneExtended()
-	}
+	ng := st.g.CloneExtended()
 	for j := 0; j < e.n; j++ {
 		jj := model.AgentID(j)
 		if jj == i {
@@ -254,13 +143,7 @@ func (e *FIP) UpdateScratch(i model.AgentID, s model.State, a model.Action, rece
 		ng.SetEdge(st.time, jj, i, graph.Sent)
 		ng.Merge(received[j].(FIPMsg).G)
 	}
-	var ns *FIPState
-	if fs != nil {
-		ns = fs.states.alloc()
-	} else {
-		ns = new(FIPState)
-	}
-	*ns = FIPState{
+	ns := &FIPState{
 		time:    st.time + 1,
 		init:    st.init,
 		decided: st.decided,

@@ -87,7 +87,6 @@ func (s ReportState) Key() string {
 // Report is the Ereport information-exchange protocol: Emin plus a
 // persistent (init,0) report broadcast by agents with initial preference 0.
 type Report struct {
-	scratchless
 	n       int
 	initial [2]model.State
 }
@@ -143,12 +142,6 @@ func (e *Report) MessagesInto(_ model.AgentID, s model.State, a model.Action, ou
 		out[j] = msg
 	}
 	return out
-}
-
-// UpdateScratch is Update; Ereport's δ allocates nothing, so there is no
-// scratch to draw from.
-func (e *Report) UpdateScratch(i model.AgentID, s model.State, a model.Action, received []model.Message, _ model.Scratch) model.State {
-	return e.Update(i, s, a, received)
 }
 
 // Update advances time, records decisions and jd as in Emin, and latches

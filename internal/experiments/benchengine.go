@@ -14,16 +14,13 @@ import (
 )
 
 // EngineBenchEntry is one measured engine workload: a fixed scenario
-// sweep driven through engine.RunBuffered on one goroutine, with either
-// plain or arena-backed buffers. One "op" is the whole sweep.
+// sweep driven through engine.RunBuffered on one goroutine over one
+// reused engine.Buffers. One "op" is the whole sweep.
 type EngineBenchEntry struct {
 	// Name identifies the workload, e.g. "fip_n4_t1_sweep".
 	Name string `json:"name"`
 	// Stack is the registered stack name the sweep runs.
 	Stack string `json:"stack"`
-	// Arenas reports whether the buffers were arena-backed
-	// (engine.NewArenaBuffers) or plain (engine.NewBuffers).
-	Arenas bool `json:"arenas"`
 	// Runs is the number of scenarios per op.
 	Runs int `json:"runs"`
 	// NsPerOp, BytesPerOp, and AllocsPerOp are medians over the reps.
@@ -34,8 +31,8 @@ type EngineBenchEntry struct {
 
 // EngineBench is the perf-trajectory record ebabench emits as
 // BENCH_engine.json: the engine hot path's cost on the reference
-// workloads with arenas off and on, alongside the pre-arena baseline
-// measured on the same workloads so the allocation win is visible (and
+// workloads, alongside the baseline measured on the same workloads before
+// the buffered path existed, so the allocation win is visible (and
 // checkable) in one file.
 type EngineBench struct {
 	// GoMaxProcs records the environment (the workloads themselves are
@@ -43,15 +40,16 @@ type EngineBench struct {
 	GoMaxProcs int `json:"gomaxprocs"`
 	// Reps is the number of repetitions the medians are taken over.
 	Reps int `json:"reps"`
-	// Entries holds the measured workloads, off then on per workload.
+	// Entries holds the measured workloads, one per workload.
 	Entries []EngineBenchEntry `json:"entries"`
-	// Baseline holds reference measurements of the pre-arena engine
-	// (plain Buffers, exchanges allocating per round), keyed by workload
-	// name, recorded immediately before the arena refactor.
+	// Baseline holds reference measurements of the unbuffered engine
+	// (exchanges allocating a message slice per agent per round), keyed
+	// by workload name.
 	Baseline map[string]EngineBenchBaseline `json:"baseline,omitempty"`
 }
 
-// EngineBenchBaseline is a reference measurement of the pre-arena engine.
+// EngineBenchBaseline is a reference measurement of the unbuffered
+// engine.
 type EngineBenchBaseline struct {
 	NsPerOp     int64 `json:"ns_per_op"`
 	BytesPerOp  int64 `json:"bytes_per_op"`
@@ -60,12 +58,11 @@ type EngineBenchBaseline struct {
 	Host string `json:"host,omitempty"`
 }
 
-// engineBaseline is the pre-arena engine (plain Buffers; Messages
-// allocating a fresh slice per agent per round; Efip heap-cloning one
-// graph per agent per round) measured on the reference workloads
-// immediately before this refactor — median of 5 on a single-core
-// container, Go 1.22. Kept here so every BENCH_engine.json carries the
-// trajectory's starting point.
+// engineBaseline is the unbuffered engine (Messages allocating a fresh
+// slice per agent per round; Efip heap-cloning one graph per agent per
+// round) measured on the reference workloads — median of 5 on a
+// single-core container, Go 1.22. Kept here so every BENCH_engine.json
+// carries the trajectory's starting point.
 var engineBaseline = map[string]EngineBenchBaseline{
 	"fip_n4_t1_sweep":   {NsPerOp: 514028556, BytesPerOp: 356082848, AllocsPerOp: 7212128, Host: "single-core container, pre-arena seed"},
 	"min_n8_t2_rand512": {NsPerOp: 2608541, BytesPerOp: 3016320, AllocsPerOp: 44556, Host: "single-core container, pre-arena seed"},
@@ -80,8 +77,8 @@ type engineBenchWorkload struct {
 }
 
 // fipSweepScenarios materializes the exhaustive SO(1) × inits horizon
-// sweep at n=4, t=1 — the workload the arena acceptance bar is measured
-// on (2049 patterns × 16 initial vectors = 32784 runs).
+// sweep at n=4, t=1 — the workload the allocation acceptance bar is
+// measured on (2049 patterns × 16 initial vectors = 32784 runs).
 func fipSweepScenarios() ([]core.Scenario, error) {
 	it, err := adversary.NewSOPatterns(4, 1, 3, adversary.Options{})
 	if err != nil {
@@ -120,8 +117,8 @@ func minRandScenarios() ([]core.Scenario, error) {
 	return out, nil
 }
 
-// BenchEngine measures the engine's reference workloads with arenas off
-// and on, taking medians of reps repetitions. The workload runs on one
+// BenchEngine measures the engine's reference workloads, taking medians
+// of reps repetitions. The workload runs on one
 // goroutine through engine.RunBuffered, so the numbers isolate the
 // engine + exchange hot path from Runner scheduling.
 func BenchEngine(reps int) (*EngineBench, error) {
@@ -146,73 +143,60 @@ func BenchEngine(reps int) (*EngineBench, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, arenas := range []bool{false, true} {
-			entry := EngineBenchEntry{
-				Name:   w.name,
-				Stack:  w.stack,
-				Arenas: arenas,
-				Runs:   len(scenarios),
-			}
-			ns := make([]float64, 0, reps)
-			bs := make([]float64, 0, reps)
-			as := make([]float64, 0, reps)
-			for r := 0; r < reps; r++ {
-				var buf *engine.Buffers
-				if arenas {
-					buf = engine.NewArenaBuffers()
-				} else {
-					buf = engine.NewBuffers()
+		ns := make([]float64, 0, reps)
+		bs := make([]float64, 0, reps)
+		as := make([]float64, 0, reps)
+		for r := 0; r < reps; r++ {
+			buf := engine.NewBuffers()
+			goruntime.GC()
+			var m0, m1 goruntime.MemStats
+			goruntime.ReadMemStats(&m0)
+			t0 := time.Now()
+			for _, sc := range scenarios {
+				if _, err := engine.RunBuffered(st.Config(sc.Pattern, sc.Inits), buf); err != nil {
+					return nil, err
 				}
-				goruntime.GC()
-				var m0, m1 goruntime.MemStats
-				goruntime.ReadMemStats(&m0)
-				t0 := time.Now()
-				for _, sc := range scenarios {
-					if _, err := engine.RunBuffered(st.Config(sc.Pattern, sc.Inits), buf); err != nil {
-						return nil, err
-					}
-				}
-				elapsed := time.Since(t0)
-				goruntime.ReadMemStats(&m1)
-				ns = append(ns, float64(elapsed.Nanoseconds()))
-				bs = append(bs, float64(m1.TotalAlloc-m0.TotalAlloc))
-				as = append(as, float64(m1.Mallocs-m0.Mallocs))
 			}
-			entry.NsPerOp = int64(median(ns))
-			entry.BytesPerOp = int64(median(bs))
-			entry.AllocsPerOp = int64(median(as))
-			bench.Entries = append(bench.Entries, entry)
+			elapsed := time.Since(t0)
+			goruntime.ReadMemStats(&m1)
+			ns = append(ns, float64(elapsed.Nanoseconds()))
+			bs = append(bs, float64(m1.TotalAlloc-m0.TotalAlloc))
+			as = append(as, float64(m1.Mallocs-m0.Mallocs))
 		}
+		bench.Entries = append(bench.Entries, EngineBenchEntry{
+			Name:        w.name,
+			Stack:       w.stack,
+			Runs:        len(scenarios),
+			NsPerOp:     int64(median(ns)),
+			BytesPerOp:  int64(median(bs)),
+			AllocsPerOp: int64(median(as)),
+		})
 	}
 	return bench, nil
 }
 
-// engineAcceptance names the workloads the arena refactor makes a hard
+// engineAcceptance names the workloads the buffered engine makes a hard
 // allocation claim about, with the required improvement factor over the
-// recorded pre-arena baseline. The claim covers the fip sweep — the
-// workload whose per-round graph clones the arena exists for; the min
-// workload is measured for contrast but has no per-round exchange
-// allocations for an arena to remove, so it carries no bar.
+// recorded baseline. The claim covers the fip sweep, the workload whose
+// per-round broadcasts the buffered path saves most on; the min
+// workload is measured for contrast and carries no bar.
 var engineAcceptance = map[string]float64{
 	"fip_n4_t1_sweep": 2,
 }
 
-// CheckAcceptance verifies the recorded arena claim: every arenas-on
-// entry named in engineAcceptance must show at least the required factor
-// fewer allocations per op than the pre-arena baseline. It returns a
-// descriptive error on the first miss.
+// CheckAcceptance verifies the recorded allocation claim: every entry
+// named in engineAcceptance must show at least the required factor fewer
+// allocations per op than the baseline. It returns a descriptive error
+// on the first miss.
 func (b *EngineBench) CheckAcceptance() error {
 	for _, e := range b.Entries {
-		if !e.Arenas {
-			continue
-		}
 		minFactor, claimed := engineAcceptance[e.Name]
 		base, ok := b.Baseline[e.Name]
 		if !claimed || !ok || e.AllocsPerOp == 0 {
 			continue
 		}
 		if got := float64(base.AllocsPerOp) / float64(e.AllocsPerOp); got < minFactor {
-			return fmt.Errorf("experiments: %s arenas-on allocs/op %d vs baseline %d is only %.2fx (< %.1fx)",
+			return fmt.Errorf("experiments: %s allocs/op %d vs baseline %d is only %.2fx (< %.1fx)",
 				e.Name, e.AllocsPerOp, base.AllocsPerOp, got, minFactor)
 		}
 	}

@@ -10,9 +10,9 @@ import (
 // diffs them against the committed BENCH_*.json baselines. The gate is strict where the
 // repository's perf work lives and tolerant where CI runners are noisy:
 // allocations per op are deterministic, so any growth beyond slack is a
-// real regression (the arena work of PR 4 is pinned here), while wall
-// time on shared runners can swing 2× without meaning anything — only a
-// greater-than-2× build-time blowup fails.
+// real regression, while wall time on shared runners can swing 2×
+// without meaning anything — only a greater-than-2× build-time blowup
+// fails.
 
 // AllocGrowthLimit is the allowed allocs_per_op growth over the
 // committed baseline (25%).
@@ -35,8 +35,8 @@ const WarmColdLimit = 0.25
 // (allocs_per_op entries), episteme (build_seconds entries), or serve
 // (requests_per_second entries) — is detected from the baseline's entry
 // fields. Engine entries fail on
-// more than AllocGrowthLimit allocs_per_op growth, matched by (name,
-// arenas); wall time is not gated. Episteme entries fail on more than
+// more than AllocGrowthLimit allocs_per_op growth, matched by name;
+// wall time is not gated. Episteme entries fail on more than
 // SecondsGrowthLimit build_seconds growth or on any mismatches. An
 // entry present in the baseline but missing from the current record is
 // a violation: a silently dropped workload would otherwise pass
@@ -95,34 +95,29 @@ func gateEngine(baseline, current []byte) ([]string, error) {
 	if err := json.Unmarshal(current, &curr); err != nil {
 		return nil, fmt.Errorf("current engine record: %w", err)
 	}
-	type key struct {
-		name   string
-		arenas bool
-	}
-	got := make(map[key]EngineBenchEntry, len(curr.Entries))
+	got := make(map[string]EngineBenchEntry, len(curr.Entries))
 	for _, e := range curr.Entries {
-		got[key{e.Name, e.Arenas}] = e
+		got[e.Name] = e
 	}
 	var violations []string
 	for _, b := range base.Entries {
-		c, ok := got[key{b.Name, b.Arenas}]
+		c, ok := got[b.Name]
 		if !ok {
 			violations = append(violations,
-				fmt.Sprintf("engine %s (arenas=%v): entry missing from the current record", b.Name, b.Arenas))
+				fmt.Sprintf("engine %s: entry missing from the current record", b.Name))
 			continue
 		}
 		switch {
 		case b.AllocsPerOp == 0 && c.AllocsPerOp > 0:
 			// A zero-allocation baseline admits no slack: any allocation
-			// is a regression (the arena work's end state must stay
-			// gate-covered).
+			// is a regression.
 			violations = append(violations,
-				fmt.Sprintf("engine %s (arenas=%v): allocs_per_op %d regressed from a zero-allocation baseline",
-					b.Name, b.Arenas, c.AllocsPerOp))
+				fmt.Sprintf("engine %s: allocs_per_op %d regressed from a zero-allocation baseline",
+					b.Name, c.AllocsPerOp))
 		case float64(c.AllocsPerOp) > float64(b.AllocsPerOp)*AllocGrowthLimit:
 			violations = append(violations,
-				fmt.Sprintf("engine %s (arenas=%v): allocs_per_op %d exceeds baseline %d by more than %.0f%%",
-					b.Name, b.Arenas, c.AllocsPerOp, b.AllocsPerOp, (AllocGrowthLimit-1)*100))
+				fmt.Sprintf("engine %s: allocs_per_op %d exceeds baseline %d by more than %.0f%%",
+					b.Name, c.AllocsPerOp, b.AllocsPerOp, (AllocGrowthLimit-1)*100))
 		}
 	}
 	return violations, nil

@@ -8,9 +8,9 @@ import (
 
 const engineBase = `{
   "entries": [
-    {"name": "fip_sweep", "stack": "fip", "arenas": true,
+    {"name": "fip_sweep", "stack": "fip",
      "runs": 100, "ns_per_op": 1000, "bytes_per_op": 500, "allocs_per_op": 1000},
-    {"name": "fip_sweep", "stack": "fip", "arenas": false,
+    {"name": "min_sweep", "stack": "min",
      "runs": 100, "ns_per_op": 1200, "bytes_per_op": 900, "allocs_per_op": 4000}
   ]
 }`
@@ -59,7 +59,7 @@ func TestGateEngineFailsOnAllocGrowth(t *testing.T) {
 
 func TestGateEngineFailsOnMissingEntry(t *testing.T) {
 	curr := `{"entries": [
-    {"name": "fip_sweep", "stack": "fip", "arenas": true,
+    {"name": "fip_sweep", "stack": "fip",
      "runs": 100, "ns_per_op": 1000, "bytes_per_op": 500, "allocs_per_op": 1000}]}`
 	vs := gate(t, engineBase, curr)
 	if len(vs) != 1 || !strings.Contains(vs[0], "missing") {

@@ -129,6 +129,19 @@ func TestCloneIndependence(t *testing.T) {
 	if h2.Owner() != 1 {
 		t.Error("CloneFor did not set owner")
 	}
+	// CloneExtended is Clone followed by Extend, in memory of its own.
+	e := g.CloneExtended()
+	want := g.Clone()
+	want.Extend()
+	if e.Key() != want.Key() {
+		t.Errorf("CloneExtended key %q, Clone+Extend key %q", e.Key(), want.Key())
+	}
+	e.SetEdge(0, 1, 0, NotSent)
+	e.SetEdge(1, 0, 1, Sent)
+	e.SetPref(1, model.Zero)
+	if g.Edge(0, 1, 0) != Unknown || g.M() != 1 || g.Pref(1).IsSet() {
+		t.Error("mutating CloneExtended's copy affected original")
+	}
 }
 
 func TestKeyDistinguishes(t *testing.T) {

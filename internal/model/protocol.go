@@ -79,27 +79,14 @@ type Exchange interface {
 	Update(i AgentID, s State, a Action, received []Message) State
 }
 
-// Scratch is recyclable per-worker memory an exchange draws from on the
-// buffered execution path — for Efip, a graph arena. A Scratch value
-// belongs to one goroutine at a time. Reset recycles it for the next run;
-// memory reachable from a Detach-ed state is never recycled (see
-// Detacher), which is what makes it sound for the engine to Reset between
-// runs while earlier Results stay live.
-type Scratch interface {
-	Reset()
-}
-
-// BufferedExchange is the opt-in zero-allocation extension of Exchange:
-// μ writes into a caller-owned slice instead of allocating one, and δ may
-// draw its allocations from a per-worker Scratch. Exchanges that do not
-// implement it keep working unchanged through the plain Exchange methods;
-// the engine type-asserts and falls back.
+// BufferedExchange is the opt-in allocation-saving extension of
+// Exchange: μ writes into a caller-owned slice instead of allocating one.
+// Exchanges that do not implement it keep working unchanged through the
+// plain Messages; the engine type-asserts and falls back.
 //
-// The buffered path is contracted to be observationally identical to the
-// plain one: MessagesInto must produce exactly the messages Messages
-// would, and UpdateScratch(..., sc) must produce a state with the same
-// fingerprint as Update for every sc (including nil). The engine's
-// trace-equivalence tests enforce this for every registered exchange.
+// MessagesInto is contracted to produce exactly the messages Messages
+// would. The engine's trace-equivalence tests enforce this for every
+// registered exchange.
 type BufferedExchange interface {
 	Exchange
 
@@ -107,44 +94,6 @@ type BufferedExchange interface {
 	// is set to the message for agent j (nil meaning ⊥ — implementations
 	// must overwrite every entry, stale values included). It returns out.
 	MessagesInto(i AgentID, s State, a Action, out []Message) []Message
-
-	// AcquireScratch returns a scratch for one worker, or nil when the
-	// exchange needs none (the cheap exchanges allocate nothing in δ).
-	// Callers pair it with ReleaseScratch when done.
-	AcquireScratch() Scratch
-
-	// ReleaseScratch returns a scratch obtained from AcquireScratch to
-	// the exchange's pool. Passing nil is a no-op.
-	ReleaseScratch(sc Scratch)
-
-	// UpdateScratch is δ_i drawing allocations from sc. A nil sc must
-	// behave exactly like Update. States produced with a non-nil sc may
-	// reference scratch memory and must be Detach-ed (see Detacher)
-	// before they outlive the next Scratch.Reset.
-	UpdateScratch(i AgentID, s State, a Action, received []Message, sc Scratch) State
-}
-
-// Detacher is implemented by states that may reference recyclable scratch
-// memory (Efip's arena-backed graphs). DetachState freezes the state for
-// unbounded retention — afterwards no Scratch.Reset will ever hand its
-// backing memory to another run. It works by mutating the state's shared
-// backing in place (the State value itself is unchanged, so callers keep
-// using it without re-boxing), must be idempotent and cheap, and must be
-// a no-op on states produced without scratch.
-type Detacher interface {
-	DetachState()
-}
-
-// DetachAll detaches every state in the slice. States that do not
-// implement Detacher are left untouched. It is the bulk form the engine
-// applies to everything reachable from a returned Result, and the model
-// checker to state rows it interns across runs.
-func DetachAll(states []State) {
-	for _, st := range states {
-		if d, ok := st.(Detacher); ok {
-			d.DetachState()
-		}
-	}
 }
 
 // KeyPermuter is the opt-in symmetry extension of Exchange: it rewrites

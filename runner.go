@@ -52,11 +52,10 @@ func WithResultCache(c ResultCache, fingerprint string) RunnerOption {
 	return core.WithResultCache(c, fingerprint)
 }
 
-// WithBufferReuse gives every batch worker a private arena-backed
-// scratch buffer reused across its runs, eliminating per-round
-// allocation on the batch hot path — including the exchanges' own
-// allocations (Efip's per-round graphs are built in the worker's
-// arena). Results are detached from the arena before they are returned,
-// so they stay valid and mutation-safe indefinitely; traces are
-// bit-identical with or without reuse. See README "Memory model".
+// WithBufferReuse gives every batch worker a private set of engine
+// buffers reused across its runs, so the per-round message matrices and
+// state slices are allocated once per worker instead of once per round.
+// Results never alias the buffers, so they stay valid and mutation-safe
+// indefinitely; traces are bit-identical with or without reuse. See
+// README "Memory model".
 func WithBufferReuse() RunnerOption { return core.WithBufferReuse() }
