@@ -6,9 +6,10 @@ import (
 	"repro/internal/episteme"
 )
 
-// The persistent result cache: sweeps and model checks keyed by
-// (version digest, scenario digest) so a re-run of an already-swept
-// scenario restores its outcome instead of re-executing it. The cache
+// The persistent result cache: sweep runs keyed by (version digest,
+// scenario digest) and model-check stripe indexes keyed by (version
+// digest, stripe), so a re-run of an already-swept scenario or an
+// already-built stripe restores it instead of re-executing. The cache
 // is content-addressed and verify-on-read — a corrupt, truncated, or
 // misfiled entry is a miss, never a wrong answer — and the cached paths
 // are bit-identical to the uncached ones at any hit/miss mix: RunShard
@@ -63,13 +64,39 @@ func NewTieredCache(local, remote CacheStore) *TieredCache { return cache.NewTie
 // consume. Mount it on any mux; both directions are digest-verified.
 func NewCacheServer(store CacheStore) *cache.Server { return cache.NewServer(store) }
 
+// OpenResultCache resolves a directory/server-URL pair (the CLIs'
+// -cache and -cache-url flags) into one store: the directory alone, the
+// server alone, or the directory tiered over the server (local hits
+// win, remote hits back-fill, puts write to both). It returns a nil
+// store when both are empty. The returned close function releases the
+// directory store and is a no-op otherwise; it is never nil on success.
+func OpenResultCache(dir, url string) (ResultCache, func() error, error) {
+	noop := func() error { return nil }
+	switch {
+	case dir == "" && url == "":
+		return nil, noop, nil
+	case dir == "":
+		return NewCacheClient(url), noop, nil
+	}
+	local, err := OpenCache(dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	if url == "" {
+		return local, local.Close, nil
+	}
+	return NewTieredCache(local, NewCacheClient(url)), local.Close, nil
+}
+
 // CacheFingerprint identifies the running binary for cache keying: the
 // VCS revision when built from a repository ("+dirty" when modified),
 // else the module version, else "unversioned".
 func CacheFingerprint() string { return cache.Fingerprint() }
 
-// WithCheckCache makes BuildSystem/BuildShardIndex answer scenarios
-// from the cache and execute only the misses, bit-identically.
+// WithCheckCache makes BuildShardIndex answer a whole stripe index from
+// one cache entry, and build and store it on a miss; BuildSystem with a
+// cache is the one-stripe index merged. Cached and uncached builds are
+// bit-identical.
 func WithCheckCache(c ResultCache, fingerprint string) CheckOption {
 	return episteme.WithCache(c, fingerprint)
 }

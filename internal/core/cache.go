@@ -4,9 +4,10 @@
 // Keys are "<version>/<kind>/<scenario>": the version digest pins the
 // stack's semantic identity (exchange and action protocol by registered
 // name, n, t, horizon) together with a build fingerprint, the kind
-// separates sweep outcomes ("run") from the episteme checker's interned
-// rows ("sys") and whole stripe indexes ("idx"), and the scenario
-// digest pins the (pattern, inits) input.
+// separates sweep outcomes ("run", one RunLedger per scenario) from the
+// episteme checker's whole stripe indexes ("idx"), and the digest slot
+// pins the input: the (pattern, inits) scenario for "run", the stripe
+// parameters for "idx".
 // Any change to protocol code, configuration, or input lands on a
 // different key and misses — the differential tests pin this. Payloads
 // are digest-verified by the store (internal/cache); on top of that the
@@ -44,17 +45,13 @@ const cacheSchema = "eba-cache-v1"
 
 // Cache payload kinds.
 const (
-	// CacheKindRun marks a sweep outcome (CachedRun without state keys).
+	// CacheKindRun marks a sweep outcome: the run's RunLedger.
 	CacheKindRun = "run"
-	// CacheKindSys marks an episteme row (CachedRun with the interned
-	// state key of every (time, agent) slot).
-	CacheKindSys = "sys"
 	// CacheKindIndex marks a whole serialized episteme shard index: the
 	// digest slot fingerprints the stripe parameters instead of a
 	// scenario, and the payload is the WriteShardIndex serialization. A
-	// hit skips the stripe's enumeration entirely — per-scenario "sys"
-	// entries cannot, because probing them still walks (and for
-	// quotiented sweeps, canonicalizes) every scenario.
+	// hit skips the stripe's enumeration entirely. A cached BuildSystem
+	// is one such entry (stripe 0 of 1).
 	CacheKindIndex = "idx"
 )
 
@@ -98,63 +95,19 @@ func CacheKey(versionDigest, kind, scenarioDigest string) string {
 	return versionDigest + "/" + kind + "/" + scenarioDigest
 }
 
-// CachedRun is the cache payload of one completed run: its RunLedger —
-// the scenario restated (so a misfiled entry is detected on read), the
-// observable outcome, and the per-round actions spec checking needs. For
-// episteme entries StateKeys[m*n+i] additionally carries agent i's
-// canonical state key at time m — the interning input — while sweep
-// entries omit it. Full traces are never cached.
-type CachedRun struct {
-	RunLedger
-	StateKeys []string `json:"stateKeys,omitempty"`
-}
-
-// NewCachedRun encodes a completed run. withStates selects the episteme
-// form: the canonical key of every state in the trace, slot-major
-// (slot = m*n + i).
-func NewCachedRun(res *engine.Result, withStates bool) (*CachedRun, error) {
-	led, err := NewRunLedger(res)
-	if err != nil {
-		return nil, fmt.Errorf("core: encoding cache payload: %w", err)
-	}
-	cr := &CachedRun{RunLedger: led}
-	if withStates {
-		if len(res.States) != res.Horizon+1 {
-			return nil, fmt.Errorf("core: caching a trace-free result as an episteme entry")
-		}
-		cr.StateKeys = make([]string, (res.Horizon+1)*res.N)
-		for m := 0; m <= res.Horizon; m++ {
-			for i := 0; i < res.N; i++ {
-				cr.StateKeys[m*res.N+i] = res.States[m][i].Key()
-			}
-		}
-	}
-	return cr, nil
-}
-
-// Matches reports whether the payload answers the given scenario with a
-// well-formed outcome: the restated scenario must equal the asked one
-// and the ledger must pass Check (withStates additionally demands a full
-// slot-major state-key table). Anything else is treated as a miss.
-func (cr *CachedRun) Matches(patternText string, inits []model.Value, n, horizon int, withStates bool) bool {
-	if cr.Pattern != patternText || len(cr.Inits) != len(inits) {
+// Matches reports whether a cached ledger answers the given scenario
+// with a well-formed outcome: the restated scenario must equal the asked
+// one and the ledger must pass Check. Anything else is treated as a miss.
+func (l *RunLedger) Matches(patternText string, inits []model.Value, n, horizon int) bool {
+	if l.Pattern != patternText || len(l.Inits) != len(inits) {
 		return false
 	}
 	for i, v := range inits {
-		if cr.Inits[i] != int(v) {
+		if l.Inits[i] != int(v) {
 			return false
 		}
 	}
-	if cr.Check(n, horizon) != nil {
-		return false
-	}
-	return !withStates || len(cr.StateKeys) == (horizon+1)*n
-}
-
-// Restore synthesizes the engine.Result a fresh execution of cfg would
-// have produced, minus the state trace (see RunLedger.Restore).
-func (cr *CachedRun) Restore(cfg engine.Config) *engine.Result {
-	return cr.RunLedger.Restore(cfg.Pattern, cfg.Horizon)
+	return l.Check(n, horizon) == nil
 }
 
 // CacheCounters snapshots a CachingExecutor's traffic.
@@ -201,12 +154,12 @@ func (x *CachingExecutor) Execute(cfg engine.Config, buf *engine.Buffers) (*engi
 	}
 	key := CacheKey(x.version, CacheKindRun, scDigest)
 	if payload, ok := x.cache.Get(key); ok {
-		var cr CachedRun
+		var led RunLedger
 		text, terr := cfg.Pattern.MarshalText()
-		if terr == nil && json.Unmarshal(payload, &cr) == nil &&
-			cr.Matches(string(text), cfg.Inits, cfg.Pattern.N(), cfg.Horizon, false) {
+		if terr == nil && json.Unmarshal(payload, &led) == nil &&
+			led.Matches(string(text), cfg.Inits, cfg.Pattern.N(), cfg.Horizon) {
 			x.hits.Add(1)
-			return cr.Restore(cfg), nil
+			return led.Restore(cfg.Pattern, cfg.Horizon), nil
 		}
 		// Decodes but does not answer this scenario (or does not decode):
 		// fall through, recompute, and overwrite the bad entry.
@@ -216,8 +169,8 @@ func (x *CachingExecutor) Execute(cfg engine.Config, buf *engine.Buffers) (*engi
 		return nil, err
 	}
 	x.misses.Add(1)
-	if cr, cerr := NewCachedRun(res, false); cerr == nil {
-		if payload, jerr := json.Marshal(cr); jerr == nil {
+	if led, lerr := NewRunLedger(res); lerr == nil {
+		if payload, jerr := json.Marshal(&led); jerr == nil {
 			x.cache.Put(key, payload)
 		}
 	}

@@ -186,13 +186,13 @@ func TestCachePoisonedEntriesRecomputed(t *testing.T) {
 		if i%2 == 0 {
 			store.m[key] = []byte("{corrupt")
 		} else {
-			var cr CachedRun
-			if err := json.Unmarshal(payload, &cr); err != nil {
+			var led RunLedger
+			if err := json.Unmarshal(payload, &led); err != nil {
 				store.mu.Unlock()
 				t.Fatalf("stored payload does not decode: %v", err)
 			}
-			cr.Inits[0] = 1 - cr.Inits[0] // now restates a different scenario
-			mangled, _ := json.Marshal(&cr)
+			led.Inits[0] = 1 - led.Inits[0] // now restates a different scenario
+			mangled, _ := json.Marshal(&led)
 			store.m[key] = mangled
 		}
 		i++
@@ -235,20 +235,21 @@ func TestCacheSpecCheckJudgesHits(t *testing.T) {
 	}
 }
 
-// TestCachedRunRoundTrip pins payload encode/restore fidelity against a
-// real execution, including the actions ledger.
-func TestCachedRunRoundTrip(t *testing.T) {
+// TestRunLedgerRoundTrip pins cache payload encode/restore fidelity
+// against a real execution, including the actions ledger.
+func TestRunLedgerRoundTrip(t *testing.T) {
 	st := MustStack("fip", WithN(4), WithT(1))
 	sc := randomScenarios(2, 4, 1, 1)[0]
 	res, err := NewRunner(st).Run(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cr, err := NewCachedRun(res, false)
+	led, err := NewRunLedger(res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored := cr.Restore(st.Config(sc.Pattern, sc.Inits))
+	cfg := st.Config(sc.Pattern, sc.Inits)
+	restored := led.Restore(cfg.Pattern, cfg.Horizon)
 	recA, err := newOutcomeRecord(0, res, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -57,8 +57,9 @@ func systemVerdicts(t *testing.T, sys *System) string {
 }
 
 // TestCachedBuildBitIdentical: a cold cached build and a warm one both
-// reproduce the uncached build's index and verdicts exactly, and the
-// warm build executes nothing (zero Puts — every probe hits).
+// reproduce the uncached build's index and verdicts exactly. The cold
+// build stores one entry (the whole-sweep stripe index); the warm build
+// is answered by that entry alone — one probe, one hit, nothing stored.
 func TestCachedBuildBitIdentical(t *testing.T) {
 	c := fipContext31()
 	act := action.NewOpt(1)
@@ -76,9 +77,9 @@ func TestCachedBuildBitIdentical(t *testing.T) {
 	if got := systemVerdicts(t, cold); got != want {
 		t.Fatal("cold cached build differs from the uncached build")
 	}
-	_, hits, putsCold := store.counts()
-	if hits != 0 || putsCold != len(single.Runs) {
-		t.Fatalf("cold build: %d hits, %d puts; want 0 hits and %d puts", hits, putsCold, len(single.Runs))
+	getsCold, hits, putsCold := store.counts()
+	if hits != 0 || putsCold != 1 {
+		t.Fatalf("cold build: %d hits, %d puts; want 0 hits and 1 put", hits, putsCold)
 	}
 
 	warm, err := BuildSystem(context.Background(), c, act, WithParallelism(2), WithCache(store, "fp"))
@@ -88,8 +89,9 @@ func TestCachedBuildBitIdentical(t *testing.T) {
 	if got := systemVerdicts(t, warm); got != want {
 		t.Fatal("warm cached build differs from the uncached build")
 	}
-	if _, _, puts := store.counts(); puts != putsCold {
-		t.Fatalf("warm build executed %d runs, want 0", puts-putsCold)
+	if gets, hits, puts := store.counts(); gets-getsCold != 1 || hits != 1 || puts != putsCold {
+		t.Fatalf("warm build probed %d times with %d hits and stored %d entries; want one hitting probe and no stores",
+			gets-getsCold, hits, puts-putsCold)
 	}
 }
 
@@ -139,8 +141,8 @@ func TestCachedShardIndexBitIdentical(t *testing.T) {
 
 	const k = 2
 	store := newTestStore()
-	// Warm only stripe 0: the later full builds mix hits (stripe 0's
-	// scenarios) with misses (stripe 1's).
+	// Warm only stripe 0: the later cached builds mix a hit (stripe 0)
+	// with a miss (stripe 1).
 	if _, err := BuildShardIndex(context.Background(), c, act, 0, k, WithParallelism(2), WithCache(store, "fp")); err != nil {
 		t.Fatalf("warming BuildShardIndex 0/%d: %v", k, err)
 	}
@@ -199,10 +201,9 @@ func TestCachedShardIndexWarmSkipsEnumeration(t *testing.T) {
 	}
 }
 
-// TestCachedShardIndexPoisoned corrupts every cached payload — the
-// stripe-index entry included — and checks the warm build falls all the
-// way back to execution, overwrites the poison, and still reproduces
-// the cold index exactly.
+// TestCachedShardIndexPoisoned corrupts the cached stripe-index entry
+// and checks the warm build falls all the way back to execution,
+// overwrites the poison, and still reproduces the cold index exactly.
 func TestCachedShardIndexPoisoned(t *testing.T) {
 	c := fipContext31()
 	act := action.NewOpt(1)
@@ -225,15 +226,14 @@ func TestCachedShardIndexPoisoned(t *testing.T) {
 	if warm.Digest() != cold.Digest() {
 		t.Fatal("index rebuilt over a poisoned cache differs from the cold one")
 	}
-	// Every poisoned entry — the runs and the stripe index — was
-	// recomputed and overwritten.
-	if _, _, puts := store.counts(); puts-putsBefore != len(cold.Runs)+1 {
-		t.Fatalf("poisoned build re-stored %d entries, want %d", puts-putsBefore, len(cold.Runs)+1)
+	// The poisoned stripe index was recomputed and overwritten.
+	if _, _, puts := store.counts(); puts-putsBefore != 1 {
+		t.Fatalf("poisoned build re-stored %d entries, want 1", puts-putsBefore)
 	}
 }
 
-// TestCachedBuildPoisonedEntries corrupts every cached payload and
-// checks the warm build recomputes them all, still bit-identical.
+// TestCachedBuildPoisonedEntries corrupts the cached payload and checks
+// the warm build recomputes and re-stores it, still bit-identical.
 func TestCachedBuildPoisonedEntries(t *testing.T) {
 	c := fipContext31()
 	act := action.NewOpt(1)
@@ -258,8 +258,8 @@ func TestCachedBuildPoisonedEntries(t *testing.T) {
 	if got := systemVerdicts(t, warm); got != want {
 		t.Fatal("build over a poisoned cache differs")
 	}
-	if _, _, puts := store.counts(); puts-putsBefore != len(cold.Runs) {
-		t.Fatalf("poisoned build re-stored %d entries, want %d", puts-putsBefore, len(cold.Runs))
+	if _, _, puts := store.counts(); puts-putsBefore != 1 {
+		t.Fatalf("poisoned build re-stored %d entries, want 1", puts-putsBefore)
 	}
 }
 

@@ -26,7 +26,7 @@ const (
 	pinShardIndex     = "6367295ca97001a3266b57bb812d80501b8e17c38978a2105d3074b173d22ada"
 	pinShardDigest    = "cc85a438cd5bc047de2d1d9d11658d04"
 	pinRunPayloads    = "1de380534b5ad7296a2b9b52f5bb4e2f62cb0247973922f20efbfd4246ba50da"
-	pinSysPayloads    = "b9cf1fb6e9f42fee2173485c671275db18e65f27768902c85e98e2b06b7aee0d"
+	pinIdxPayloads    = "e35345ca0111f2e2b8b640b95b7d40d08758f81e46ac5693a9134102fa8cd0aa"
 	pinFingerprintTag = "format-pin"
 )
 
@@ -88,11 +88,10 @@ func TestFormatPins(t *testing.T) {
 	}
 
 	// A quotiented stripe index (0/1) built through the cache: its
-	// per-scenario "sys" rows and the whole-stripe "idx" entry both land
-	// in the store.
-	sysStore := newTestStore()
+	// whole-stripe "idx" entry is the one payload that lands in the store.
+	idxStore := newTestStore()
 	idx, err := BuildShardIndex(ctx, fipContext31(), action.NewOpt(1), 0, 1,
-		WithQuotient(), WithParallelism(2), WithCache(sysStore, pinFingerprintTag))
+		WithQuotient(), WithParallelism(2), WithCache(idxStore, pinFingerprintTag))
 	if err != nil {
 		t.Fatalf("BuildShardIndex: %v", err)
 	}
@@ -106,7 +105,7 @@ func TestFormatPins(t *testing.T) {
 	if got := idx.Digest(); got != pinShardDigest {
 		t.Errorf("ShardIndex.Digest = %s, pinned %s", got, pinShardDigest)
 	}
-	if got, n := storeDigest(sysStore); got != pinSysPayloads {
-		t.Errorf("%d sys+idx cache payloads sha256 = %s, pinned %s", n, got, pinSysPayloads)
+	if got, n := storeDigest(idxStore); got != pinIdxPayloads {
+		t.Errorf("%d idx cache payloads sha256 = %s, pinned %s", n, got, pinIdxPayloads)
 	}
 }

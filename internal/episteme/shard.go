@@ -100,14 +100,12 @@ func BuildShardIndex(ctx context.Context, c Context, act model.ActionProtocol, s
 	n := c.Exchange.N()
 	horizon := c.horizonOrDefault()
 	// Index-level cache: the whole stripe, keyed by the stack version and
-	// the stripe parameters. Per-scenario "sys" entries make a warm build
-	// skip execution, but probing them still enumerates — and for
-	// quotiented sweeps canonicalizes — every scenario, which dominates
-	// once execution is cached. A hit here returns the verified
-	// WriteShardIndex serialization without enumerating at all; its
-	// decode round-trips to identical bytes (the digest identity the
-	// fabric's duplicate resolution already relies on), so warm indexes
-	// stay bit-identical to cold ones.
+	// the stripe parameters. A hit returns the verified WriteShardIndex
+	// serialization without enumerating (or, quotiented, canonicalizing)
+	// at all; its decode round-trips to identical bytes (the digest
+	// identity the fabric's duplicate resolution already relies on), so
+	// warm indexes stay bit-identical to cold ones. A miss builds the
+	// stripe uncached and stores it whole.
 	var idxKey string
 	if o.cache != nil {
 		version := cacheStack(c, act, n, horizon).VersionDigest(o.fingerprint)
@@ -150,6 +148,18 @@ func BuildShardIndex(ctx context.Context, c Context, act model.ActionProtocol, s
 		}
 	}
 	return idx, nil
+}
+
+// cacheStack is the stack every episteme build executes on, and the
+// identity cached stripe indexes derive their version digest from.
+func cacheStack(c Context, act model.ActionProtocol, n, horizon int) core.Stack {
+	return core.Stack{
+		Name:     "episteme(" + act.Name() + ")",
+		Exchange: c.Exchange,
+		Action:   act,
+		N:        n,
+		T:        c.T,
+	}.AtHorizon(horizon)
 }
 
 // shardIndexCacheKey derives the cache key of a whole stripe index: the

@@ -86,15 +86,16 @@ func WithQuotient() Option {
 	return func(o *options) { o.quotient = true }
 }
 
-// WithCache consults a result cache before executing each run and
-// stores what it executed, keyed by the stack's full semantic identity
-// (exchange, action protocol, n, t, horizon, build fingerprint — see
-// core.Stack.VersionDigest) and the scenario. A cached build assembles
-// the system from decision ledgers plus interned state keys, exactly as
-// MergeSystems assembles a sharded one, so every verdict is
-// bit-identical to the uncached build's — but, like a merged System, it
-// carries no state traces (System.State is unavailable; Key and every
-// checker work off the interned index).
+// WithCache makes BuildShardIndex consult a result cache for the whole
+// stripe index before enumerating, and store the index it built on a
+// miss, keyed by the stack's full semantic identity (exchange, action
+// protocol, n, t, horizon, build fingerprint — see
+// core.Stack.VersionDigest) and the stripe parameters (shard, split,
+// quotienting). BuildSystem with a cache is BuildShardIndex of stripe 0
+// of 1 followed by MergeSystems, so a warm build is one cache probe and
+// every verdict is bit-identical to the uncached build's — but, like a
+// merged System, it carries no state traces (System.State is
+// unavailable; Key and every checker work off the interned index).
 func WithCache(c core.ResultCache, fingerprint string) Option {
 	return func(o *options) {
 		o.cache = c
@@ -303,36 +304,45 @@ func (s *System) parallel(ctx context.Context, count int, fn func(k int)) error 
 // the resulting order is deterministic (enumeration order) and
 // bit-identical at every parallelism level. The first execution error or
 // ctx cancellation aborts the build, cancelling outstanding work via the
-// context cause.
+// context cause. With WithCache the build is BuildShardIndex of stripe 0
+// of 1 followed by MergeSystems, so a warm rebuild is one cache probe.
+// A quotiented build is expanded (ExpandQuotient) before it is returned.
 func BuildSystem(ctx context.Context, c Context, act model.ActionProtocol, opts ...Option) (*System, error) {
 	if c.Exchange == nil || act == nil {
 		return nil, fmt.Errorf("episteme: Exchange and action protocol are required")
 	}
 	o := newOptions(opts)
-	n := c.Exchange.N()
-	horizon := c.horizonOrDefault()
-
-	src, err := c.scenarioSource(n, horizon)
-	if err != nil {
-		return nil, err
-	}
-	if o.quotient {
-		rep, err := buildSystemFromSource(ctx, c, act, source.Quotient(src), o)
+	var sys *System
+	if o.cache != nil {
+		idx, err := BuildShardIndex(ctx, c, act, 0, 1, opts...)
 		if err != nil {
 			return nil, err
 		}
-		return ExpandQuotient(ctx, rep, c)
+		if sys, err = MergeSystems(ctx, []*ShardIndex{idx}, opts...); err != nil {
+			return nil, err
+		}
+	} else {
+		src, err := c.scenarioSource(c.Exchange.N(), c.horizonOrDefault())
+		if err != nil {
+			return nil, err
+		}
+		if o.quotient {
+			src = source.Quotient(src)
+		}
+		if sys, err = buildSystemFromSource(ctx, c, act, src, o); err != nil {
+			return nil, err
+		}
 	}
-	return buildSystemFromSource(ctx, c, act, src, o)
+	if sys.Quotiented() {
+		return ExpandQuotient(ctx, sys, c)
+	}
+	return sys, nil
 }
 
 // buildSystemFromSource enumerates the system's runs from the given
 // scenario source — the whole sweep for BuildSystem, one deterministic
 // stripe of it for BuildShardIndex — and indexes the local states.
 func buildSystemFromSource(ctx context.Context, c Context, act model.ActionProtocol, src core.Source, o options) (*System, error) {
-	if o.cache != nil {
-		return buildSystemCached(ctx, c, act, src, o)
-	}
 	n := c.Exchange.N()
 	horizon := c.horizonOrDefault()
 	runner := core.NewRunner(cacheStack(c, act, n, horizon),

@@ -166,10 +166,9 @@ func BenchEpisteme(parallelism, reps int) (*EpistemeBench, error) {
 // index build, not the ExpandQuotient step, is what the cache can skip)
 // built cold into a fresh on-disk cache, then rebuilt warm from it. The
 // warm rebuild is answered by the stripe-index cache entry, skipping
-// the sweep's enumeration and canonicalization outright — per-run
-// entries alone cannot beat WarmColdLimit here, because canonicalizing
+// the sweep's enumeration and canonicalization outright (canonicalizing
 // 655,392 scenarios down to their representatives dominates the cold
-// build too. The entry's BuildSeconds is the median warm rebuild and
+// build). The entry's BuildSeconds is the median warm rebuild and
 // ColdBuildSeconds the cold build; the gate holds warm at WarmColdLimit
 // of cold.
 func benchWarmCache(ctx context.Context, parallelism, reps int) (*EpistemeBenchEntry, error) {
